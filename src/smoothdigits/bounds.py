@@ -538,27 +538,11 @@ def thm12_default_constants(base: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ThresholdParams:
-    """Knobs shared by the threshold calculators.
+    """Constants of the thm12 gap inequality: c_thm12 and C_thm12 (see
+    thm12_default_constants)."""
 
-    epsilon >= 0 is the slack subtracted inside thresholds; delta0 in (0, 1]
-    is the digit-budget supremum for the f-indexed threshold; c_thm12 and
-    C_thm12 are the gap-inequality constants (see thm12_default_constants);
-    c_remark45 scales the smoothness exponent check.
-    """
-
-    epsilon: float = 0.0
-    delta0: Optional[float] = None
     c_thm12: Optional[float] = None
     C_thm12: Optional[float] = None
-    c_remark45: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.delta0 is not None and not 0 < self.delta0 <= 1:
-            raise ValueError("delta0 must lie in (0, 1]")
-        if self.c_remark45 <= 0:
-            raise ValueError("c_remark45 must be positive")
 
 
 def thm11_threshold(u, k: int, eps: float = 0.0) -> Optional[float]:

@@ -10,19 +10,17 @@ factorization hit its budget and results are partial.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import bounds as bmod
 from . import experiments as xmod
 from . import sequences as qmod
-from .digits import nz_count
+from .digits import nz_count  # unused here; perfbench/tracer.py patches it by name
 from .factor import (
     DEFAULT_BUDGET,
     IncompleteFactorizationError,
@@ -35,16 +33,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Resolved output options shared by all subcommands."""
-
-    format: str
-    output: Optional[str]
-    budget: int
-    threads: int
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +53,13 @@ def _flatten_for_csv(value):
 
 
 class RecordWriter:
-    """Emits dict records as JSON lines (with schema header) or CSV."""
+    """Emits dict records as JSON lines (with schema header) or CSV.
 
-    def __init__(self, fmt: str, stream, fieldnames=None):
+    CSV columns are the keys of the first record, in its order."""
+
+    def __init__(self, fmt: str, stream):
         self.fmt = fmt
         self.stream = stream
-        self.fieldnames = fieldnames
         self._csv = None
         if fmt == "jsonl":
             print(json.dumps({"schema": SCHEMA_VERSION}), file=stream)
@@ -80,27 +69,45 @@ class RecordWriter:
             print(json.dumps(record), file=self.stream)
         else:
             if self._csv is None:
-                names = self.fieldnames or list(record)
-                self._csv = csv.DictWriter(self.stream, fieldnames=names)
+                self._csv = csv.DictWriter(self.stream, list(record))
                 self._csv.writeheader()
             self._csv.writerow({k: _flatten_for_csv(v) for k, v in record.items()})
 
 
-def _open_output(path):
+@contextlib.contextmanager
+def _output(path):
+    """The data stream: stdout, or the file at path, created on entry and
+    closed on exit.  Handlers enter it only once their input is validated."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _int_arg(text: str) -> int:
-    """Integer flag that also accepts scientific notation like 1e9."""
+    """Integer flag that also accepts scientific notation like 1e9, read
+    exactly; values that are not integers, such as 1.5 or 1e-3, are
+    rejected."""
     try:
-        return int(text)
+        value = Fraction(text)
     except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        return int(value)
+        value = None
+    if value is None or value.denominator != 1 or "/" in text:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return value.numerator
+
+
+def _int_at_least(low: int):
+    """Argument type: an integer as read by _int_arg, no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = _int_arg(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
+        return value
+
+    return parse
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -124,16 +131,22 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 # subcommand handlers
 
 
-def _cmd_enum(args, cfg: RunConfig) -> int:
+def _digit_budget(args):
+    """The --f digit budget, or None for a fixed --k; exactly one of the
+    two must be given."""
+    if (args.k is None) == (args.f is None):
+        raise ValueError("give exactly one of --k and --f")
+    return None if args.f is None else qmod.parse_budget_spec(args.f)
+
+
+def _cmd_enum(args) -> int:
     if args.kind in ("sparse", "powersum") and args.take is None and args.max_value is None:
         raise ValueError("unbounded stream: give --take and/or --max-value")
     if args.kind == "sparse":
-        if (args.k is None) == (args.f is None):
-            raise ValueError("give exactly one of --k and --f")
-        if args.k is not None:
+        budget = _digit_budget(args)
+        if budget is None:
             stream = qmod.sparse_sequence(args.base, args.k, max_value=args.max_value)
         else:
-            budget = qmod.parse_budget_spec(args.f)
             stream = qmod.sparse_sequence_f(
                 args.base, budget, f_monotone=budget.monotone, max_value=args.max_value
             )
@@ -154,50 +167,39 @@ def _cmd_enum(args, cfg: RunConfig) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown stream kind {args.kind}")
 
-    out, must_close = _open_output(args.output)
-    try:
-        if cfg.format == "lines":
+    with _output(args.output) as out:
+        if args.format == "lines":
             for j, v in enumerate(stream, start=1):
                 print(v, file=out)
                 if args.take is not None and j >= args.take:
                     break
         else:
-            writer = RecordWriter(cfg.format, out, fieldnames=["j", "value"])
+            writer = RecordWriter(args.format, out)
             for j, v in enumerate(stream, start=1):
                 writer.write({"j": j, "value": xmod._json_int(v)})
                 if args.take is not None and j >= args.take:
                     break
-    finally:
-        if must_close:
-            out.close()
     return EXIT_OK
 
 
-_FACTOR_FIELDS = ["n", "factors", "cofactor", "complete", "P", "omega", "Q"]
-
-
-def _cmd_factor(args, cfg: RunConfig) -> int:
-    out, must_close = _open_output(args.output)
+def _cmd_factor(args) -> int:
     partial = False
-    try:
-        writer = RecordWriter(cfg.format, out, fieldnames=_FACTOR_FIELDS)
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
         for n in args.n:
-            fact = factorize(n, cfg.budget)
-            complete = fact.complete
-            partial = partial or not complete
+            fact = factorize(n, args.budget)
+            partial = partial or not fact.complete
+            P, omega, Q = fact.summary()
             record = {
                 "n": xmod._json_int(n),
                 "factors": xmod._json_pairs(fact.pairs),
                 "cofactor": xmod._json_int(fact.cofactor),
-                "complete": complete,
-                "P": xmod._json_int(fact.pairs[-1][0]) if complete and fact.pairs else (1 if complete else None),
-                "omega": len(fact.pairs) if complete else None,
-                "Q": xmod._json_int(math.prod(fact.prime_factors)) if complete else None,
+                "complete": fact.complete,
+                "P": None if P is None else xmod._json_int(P),
+                "omega": omega,
+                "Q": None if Q is None else xmod._json_int(Q),
             }
             writer.write(record)
-    finally:
-        if must_close:
-            out.close()
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -223,17 +225,16 @@ def _trace_dict(report) -> dict:
     }
 
 
-def _cmd_trace(args, cfg: RunConfig) -> int:
-    fact = factorize(args.n, cfg.budget)
+def _cmd_trace(args) -> int:
+    fact = factorize(args.n, args.budget)
     if not fact.complete:
         raise IncompleteFactorizationError(
-            f"{args.n} did not factor within budget {cfg.budget}; "
+            f"{args.n} did not factor within budget {args.budget}; "
             f"raise --budget to trace it"
         )
     report = bmod.lemma31_trace(args.n, args.base, fact)
-    out, must_close = _open_output(args.output)
-    try:
-        if cfg.format == "jsonl":
+    with _output(args.output) as out:
+        if args.format == "jsonl":
             writer = RecordWriter("jsonl", out)
             writer.write(_trace_dict(report))
         else:
@@ -254,13 +255,10 @@ def _cmd_trace(args, cfg: RunConfig) -> int:
                     f"  [{mark}] row {r.label}{note}: lhs={r.lhs:.6g} rhs={r.rhs:.6g}",
                     file=out,
                 )
-    finally:
-        if must_close:
-            out.close()
     return EXIT_OK
 
 
-def _bounds_record(args, cfg: RunConfig) -> dict:
+def _bounds_record(args) -> dict:
     op = args.op
     if op == "matveev" or op == "yu":
         rationals = _parse_fraction_list(args.rationals)
@@ -325,58 +323,35 @@ def _bounds_record(args, cfg: RunConfig) -> dict:
     raise ValueError(f"unknown bounds operation {op}")  # pragma: no cover
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> int:
-    record = _bounds_record(args, cfg)
+def _cmd_bounds(args) -> int:
+    record = _bounds_record(args)
     for key, value in record.items():
         if value is None:
             record[key] = "not applicable"
-    out, must_close = _open_output(args.output)
-    try:
-        writer = RecordWriter(cfg.format, out)
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
         writer.write(record)
-    finally:
-        if must_close:
-            out.close()
     return EXIT_OK
 
 
-_SURVEY_FIELDS = [
-    "j", "value", "base", "nz", "exponents", "digits", "complete", "factors",
-    "cofactor", "P", "omega", "Q", "thm11", "thm11_exceeded", "cor15",
-    "cor15_exceeded", "thm13", "thm13_exceeded", "trace_branch",
-    "trace_rows_ok", "trace_size_condition",
-]
-
-
-def _cmd_survey_sparse(args, cfg: RunConfig) -> int:
-    budget_fn = None
-    if args.f is not None:
-        if args.k is not None:
-            raise ValueError("give exactly one of --k and --f")
-        budget_fn = qmod.parse_budget_spec(args.f)
-    elif args.k is None:
-        raise ValueError("give exactly one of --k and --f")
+def _cmd_survey_sparse(args) -> int:
+    budget_fn = _digit_budget(args)
     records = list(
         xmod.sparse_survey(
             args.base,
             args.count,
             k=args.k,
             budget_fn=budget_fn,
-            factor_budget=cfg.budget,
+            factor_budget=args.budget,
             eps=args.eps,
             max_value=args.max_value,
-            workers=cfg.threads,
+            workers=args.threads,
         )
     )
-    out, must_close = _open_output(args.output)
-    try:
-        fields = [f for f in _SURVEY_FIELDS if budget_fn or not f.startswith("thm13")]
-        writer = RecordWriter(cfg.format, out, fieldnames=fields)
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
         for rec in records:
             writer.write(xmod.survey_record_dict(rec))
-    finally:
-        if must_close:
-            out.close()
     for st in xmod.window_minima(records):
         print(
             f"# window t={st.t} j=[{st.j_lo},{st.j_hi}] "
@@ -386,25 +361,20 @@ def _cmd_survey_sparse(args, cfg: RunConfig) -> int:
     return EXIT_PARTIAL if any(not r.complete for r in records) else EXIT_OK
 
 
-def _cmd_survey_stewart(args, cfg: RunConfig) -> int:
+def _cmd_survey_stewart(args) -> int:
     rows = xmod.stewart_survey(args.a, args.base, (args.start, args.end))
-    out, must_close = _open_output(args.output)
-    try:
-        writer = RecordWriter(cfg.format, out, fieldnames=["n", "nz", "bound", "exceeds"])
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
         for row in rows:
             writer.write(xmod.stewart_row_dict(row))
-    finally:
-        if must_close:
-            out.close()
     return EXIT_OK
 
 
-def _cmd_cyclo(args, cfg: RunConfig) -> int:
-    report = xmod.cyclotomic_smooth(args.n, cfg.budget)
-    out, must_close = _open_output(args.output)
-    try:
-        if cfg.format in ("jsonl", "csv"):
-            writer = RecordWriter(cfg.format, out)
+def _cmd_cyclo(args) -> int:
+    report = xmod.cyclotomic_smooth(args.n, args.budget)
+    with _output(args.output) as out:
+        if args.format in ("jsonl", "csv"):
+            writer = RecordWriter(args.format, out)
             writer.write(xmod.cyclotomic_report_dict(report))
         else:
             print(f"N = 2^{args.n} + 1 = {report.N}", file=out)
@@ -420,26 +390,17 @@ def _cmd_cyclo(args, cfg: RunConfig) -> int:
                 print(f"smallest passing smoothness scale c = {report.min_c}", file=out)
             else:
                 print(f"factorization incomplete; composite cofactor {report.cofactor}", file=out)
-    finally:
-        if must_close:
-            out.close()
     return EXIT_OK if report.complete else EXIT_PARTIAL
 
 
-def _cmd_search(args, cfg: RunConfig) -> int:
+def _cmd_search(args) -> int:
     hits = xmod.smooth_sparse_search(
         args.base, args.k, _parse_int_list(args.primes), args.limit, eps=args.eps
     )
-    out, must_close = _open_output(args.output)
-    try:
-        writer = RecordWriter(
-            cfg.format, out, fieldnames=["value", "nz", "cor15", "cor15_exceeded"]
-        )
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
         for hit in hits:
             writer.write(xmod.search_hit_dict(hit))
-    finally:
-        if must_close:
-            out.close()
     print(f"# {len(hits)} hit(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -455,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_BUDGET,
         help="factoring effort bound (rho iterations, default %(default)s)",
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes for surveys (default 1: fully sequential)",
     )
@@ -483,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(handler=_cmd_enum)
 
     p_factor = sub.add_parser("factor", help="factor integers")
-    p_factor.add_argument("n", type=_int_arg, nargs="+")
+    p_factor.add_argument("n", type=_int_at_least(1), nargs="+")
     p_factor.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_factor.add_argument("--output")
     p_factor.set_defaults(handler=_cmd_factor)
@@ -570,16 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Integers of any length are read and written exactly.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        format=getattr(args, "format", "jsonl"),
-        output=getattr(args, "output", None),
-        budget=args.budget,
-        threads=args.threads,
-    )
     try:
-        return args.handler(args, cfg)
+        return args.handler(args)
     except (ValueError, IncompleteFactorizationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,9 +83,7 @@ def _survey_record(j, value, base, k, fact, eps, budget_fn) -> SurveyRecord:
     expansion = decompose(value, base)
     nz = expansion.k
     complete = fact.complete
-    p_max = fact.pairs[-1][0] if complete and fact.pairs else (1 if complete else None)
-    omega_n = len(fact.pairs) if complete else None
-    rad = math.prod(fact.prime_factors) if complete else None
+    p_max, omega_n, rad = fact.summary()
 
     thresholds: dict = {}
     t11 = thm11_threshold(value, k, eps) if k is not None and k >= 3 else None
@@ -238,7 +236,8 @@ def stewart_survey(a: int, base: int, n_range: tuple[int, int]) -> Iterator[Stew
     Rows where the count does not exceed the bound are flagged, not
     rejected: the bound is asymptotic and small n may legitimately fall
     short.  Requires a and base multiplicatively independent and start >= 3
-    (so loglog n is positive).
+    (so loglog n is positive).  Arguments are validated eagerly, before the
+    first row is requested.
     """
     if a < 2 or base < 2:
         raise ValueError("a and base must be >= 2")
@@ -249,6 +248,10 @@ def stewart_survey(a: int, base: int, n_range: tuple[int, int]) -> Iterator[Stew
         raise ValueError("start must be >= 3 so the bound is defined")
     if end < start:
         raise ValueError("empty range")
+    return _stewart_rows(a, base, start, end)
+
+
+def _stewart_rows(a, base, start, end):
     power = a**start
     for n in range(start, end + 1):
         nz = nz_count(power, base)
@@ -334,9 +337,8 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
         for p, e in fact.pairs:
             merged[p] = merged.get(p, 0) + e
         cofactor *= fact.cofactor
-    pairs = tuple(sorted(merged.items()))
-    complete = cofactor == 1
-    p_max = pairs[-1][0] if complete and pairs else None
+    whole = Factorization(n=product, pairs=tuple(sorted(merged.items())), cofactor=cofactor)
+    p_max = whole.summary()[0]
 
     min_c = None
     if p_max is not None:
@@ -350,8 +352,8 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
         N=N,
         parts=parts,
         identity_ok=identity_ok,
-        complete=complete,
-        factors=pairs,
+        complete=whole.complete,
+        factors=whole.pairs,
         cofactor=cofactor,
         P=p_max,
         min_c=min_c,

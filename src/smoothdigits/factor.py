@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from typing import Optional
 
 from . import _fastfactor
 
@@ -23,7 +24,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "is_prime",
     "primes_up_to",
-    "prime_stream",
     "factorize",
     "greatest_prime_factor",
     "omega",
@@ -55,22 +55,6 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def prime_stream():
-    """Unbounded generator of primes in increasing order."""
-    yield 2
-    known = [2]
-    n = 3
-    while True:
-        for k in known:
-            if k * k > n:
-                known.append(n)
-                yield n
-                break
-            if n % k == 0:
-                break
-        n += 2
 
 
 _SMALL_PRIMES = tuple(primes_up_to(1000))
@@ -229,6 +213,15 @@ class Factorization:
     def prime_factors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 
+    def summary(self) -> tuple[Optional[int], Optional[int], Optional[int]]:
+        """(P, omega, Q): the greatest prime factor, the number of distinct
+        primes and the radical, with (1, 0, 1) for n = 1; all three are
+        None when the factorization is partial."""
+        if not self.complete:
+            return None, None, None
+        p_max = self.pairs[-1][0] if self.pairs else 1
+        return p_max, len(self.pairs), math.prod(self.prime_factors)
+
     def require_complete(self):
         if not self.complete:
             raise IncompleteFactorizationError(
@@ -359,27 +352,25 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
 # factor-derived quantities
 
 
-def greatest_prime_factor(n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """P[n]: the greatest prime factor, with P[1] = 1."""
-    if n == 1:
-        return 1
+def _complete_summary(n: int, budget: int):
     fact = factorize(n, budget)
     fact.require_complete()
-    return fact.pairs[-1][0]
+    return fact.summary()
+
+
+def greatest_prime_factor(n: int, budget: int = DEFAULT_BUDGET) -> int:
+    """P[n]: the greatest prime factor, with P[1] = 1."""
+    return _complete_summary(n, budget)[0]
 
 
 def omega(n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of distinct prime factors; omega(1) = 0."""
-    fact = factorize(n, budget)
-    fact.require_complete()
-    return len(fact.pairs)
+    return _complete_summary(n, budget)[1]
 
 
 def radical(n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Greatest square-free divisor; radical(1) = 1."""
-    fact = factorize(n, budget)
-    fact.require_complete()
-    return math.prod(fact.prime_factors)
+    return _complete_summary(n, budget)[2]
 
 
 def s_part(n: int, s) -> int:

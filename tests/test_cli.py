@@ -19,6 +19,21 @@ def run_cli(*args, expect=0):
     return proc
 
 
+def run_rejected(tmp_path, *args):
+    """Bad input exits 2 before any data is written: nothing on stdout,
+    and no --output file created."""
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    path = tmp_path / "out"
+    proc = run_cli(*args, "--output", str(path), expect=2)
+    assert proc.stdout == ""
+    assert not path.exists()
+
+
+def csv_header(*args):
+    return run_cli(*args, "--format", "csv").stdout.splitlines()[0]
+
+
 class TestEnum:
     def test_sparse_lines(self):
         proc = run_cli("enum", "--base", "2", "--k", "2", "--take", "6")
@@ -89,6 +104,45 @@ class TestFactor:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert rows[0]["n"] == "720"
         assert rows[0]["factors"] == "2^4;3^2;5^1"
+        assert proc.stdout.splitlines()[0] == "n,factors,cofactor,complete,P,omega,Q"
+
+    def test_nonpositive_rejected(self, tmp_path):
+        run_rejected(tmp_path, "factor", "0")
+        run_rejected(tmp_path, "factor", "12", "-3")
+
+    def test_scientific_notation_is_exact(self):
+        proc = run_cli("factor", "1e30")
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["n"] == "1" + "0" * 30
+        assert rec["factors"] == [[2, 30], [5, 30]]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["factor", "1.5"],
+            ["factor", "1e-3"],
+            ["factor", "3/1"],
+            ["--budget", "-5", "factor", "12"],
+            ["--threads", "0", "factor", "12"],
+            ["search", "--base", "2", "--k", "2", "--primes", "3", "--limit", "1.5"],
+        ],
+    )
+    def test_bad_integer_arguments_rejected(self, args, tmp_path):
+        run_rejected(tmp_path, *args)
+
+    def test_longer_than_4300_digits(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(2**14700)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) > 4300
+        proc = run_cli("factor", text)
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["n"] == text
+        assert rec["factors"] == [[2, 14700]]
+        assert rec["P"] == 2 and rec["Q"] == 2
 
 
 class TestTrace:
@@ -188,6 +242,21 @@ class TestSurvey:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert [r["value"] for r in rows] == ["1", "3", "5", "9"]
         assert rows[1]["trace_branch"] == "lambda_a"
+        assert proc.stdout.splitlines()[0] == (
+            "j,value,base,nz,exponents,digits,complete,factors,cofactor,P,omega,Q,"
+            "thm11,thm11_exceeded,cor15,cor15_exceeded,"
+            "trace_branch,trace_rows_ok,trace_size_condition"
+        )
+
+    def test_csv_header_digit_budget(self):
+        header = csv_header(
+            "survey", "sparse", "--base", "2", "--f", "sqrtll:1", "--count", "4"
+        )
+        assert header == (
+            "j,value,base,nz,exponents,digits,complete,factors,cofactor,P,omega,Q,"
+            "thm11,thm11_exceeded,cor15,cor15_exceeded,thm13,thm13_exceeded,"
+            "trace_branch,trace_rows_ok,trace_size_condition"
+        )
 
     def test_stewart(self):
         proc = run_cli(
@@ -199,10 +268,19 @@ class TestSurvey:
         assert ten["nz"] == 6
         assert ten["exceeds"] is True
 
-    def test_stewart_dependent_rejected(self):
-        run_cli(
-            "survey", "stewart", "--a", "4", "--base", "2",
-            "--start", "3", "--end", "5", expect=2,
+    def test_stewart_csv_header(self):
+        header = csv_header(
+            "survey", "stewart", "--a", "2", "--base", "3", "--end", "5"
+        )
+        assert header == "n,nz,bound,exceeds"
+
+    def test_stewart_dependent_rejected(self, tmp_path):
+        run_rejected(
+            tmp_path, "survey", "stewart", "--a", "4", "--base", "2",
+            "--start", "3", "--end", "5",
+        )
+        run_rejected(
+            tmp_path, "survey", "stewart", "--a", "2", "--base", "4", "--end", "10"
         )
 
     def test_partial_factorization_exit_3(self):
@@ -248,6 +326,12 @@ class TestSearch:
         for line in proc.stdout.splitlines():
             json.loads(line)  # every stdout line parses
         assert "hit(s)" in proc.stderr
+
+    def test_csv_header(self):
+        header = csv_header(
+            "search", "--base", "2", "--k", "2", "--primes", "3", "--limit", "100"
+        )
+        assert header == "value,nz,cor15,cor15_exceeded"
 
 
 class TestMainFunction:
