@@ -30,7 +30,6 @@ from .factor import (
 from .sequences import (
     DigitBudget,
     PowerSumSpec,
-    SparseSpec,
     power_sum_sequence,
     smooth_sequence,
     sparse_sequence,

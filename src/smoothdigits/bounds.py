@@ -191,6 +191,22 @@ class BoundInput:
         return out
 
 
+def _matveev_head(n: int) -> list[float]:
+    """Matveev's constant factors 8, 30**(n+3), n**(9/2), rounded up."""
+    return [8.0, _up(30.0 ** (n + 3)), _up(float(n) ** 4.5)]
+
+
+def _yu_head(n: int, p: int) -> list[float]:
+    """Yu's constant factors (16e)**(2(n+1)), n**(5/2), (log 2n)**2, p/(log p)**2."""
+    lp = _down(math.log(p))
+    return [
+        _up((16.0 * E) ** (2 * (n + 1))),
+        _up(float(n) ** 2.5),
+        _up(math.log(2.0 * n) ** 2),
+        _up(p / (lp * lp)),
+    ]
+
+
 def matveev_lower_bound(inp: BoundInput) -> float:
     """Certified lower bound for log |prod (x_i/y_i)^{b_i} - 1|:
 
@@ -201,12 +217,7 @@ def matveev_lower_bound(inp: BoundInput) -> float:
     n = inp.n
     if n < 2:
         raise ValueError("the estimate requires n >= 2")
-    factors = [
-        8.0,
-        _up(30.0 ** (n + 3)),
-        _up(float(n) ** 4.5),
-        _log_up(_up(E * inp.exponent_bound)),
-    ]
+    factors = _matveev_head(n) + [_log_up(_up(E * inp.exponent_bound))]
     factors.extend(_log_up(a) for a in inp.heights)
     return -_prod_up(factors)
 
@@ -224,14 +235,7 @@ def yu_valuation_bound(inp: BoundInput, p: int) -> float:
         raise ValueError("the estimate requires n >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    lp = _down(math.log(p))
-    factors = [
-        _up((16.0 * E) ** (2 * (n + 1))),
-        _up(float(n) ** 2.5),
-        _up(math.log(2.0 * n) ** 2),
-        _up(p / (lp * lp)),
-        _log_up(inp.exponent_bound),
-    ]
+    factors = _yu_head(n, p) + [_log_up(inp.exponent_bound)]
     factors.extend(_log_up(a) for a in inp.heights)
     return _prod_up(factors)
 
@@ -467,7 +471,7 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     # archimedean branch: n = s + 2
     n_a = s + 2
     prefactor_a = _prod_up(
-        [8.0, _up(30.0 ** (n_a + 3)), _up(float(n_a) ** 4.5)]
+        _matveev_head(n_a)
         + prime_logs
         + [_log_up(max(float(base - 1), E)), _log_up(max(float(base), E))]
     )
@@ -486,17 +490,7 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     # of the extracted n_k power
     p = smallest_prime_factor(base)
     n_u = s + 1
-    lp = _down(math.log(p))
-    prefactor_u = _prod_up(
-        [
-            _up((16.0 * E) ** (2 * (n_u + 1))),
-            _up(float(n_u) ** 2.5),
-            _up(math.log(2.0 * n_u) ** 2),
-            _up(p / (lp * lp)),
-        ]
-        + prime_logs
-        + [_up(2.0 * lb)]
-    )
+    prefactor_u = _prod_up(_yu_head(n_u, p) + prime_logs + [_up(2.0 * lb)])
     shift_u = math.log(2.0 * lb / LOG2)
 
     def g_padic(t):

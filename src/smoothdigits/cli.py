@@ -15,7 +15,9 @@ import csv
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from . import bounds as bmod
 from . import experiments as xmod
@@ -147,9 +149,7 @@ def _cmd_enum(args) -> int:
         if budget is None:
             stream = qmod.sparse_sequence(args.base, args.k, max_value=args.max_value)
         else:
-            stream = qmod.sparse_sequence_f(
-                args.base, budget, f_monotone=budget.monotone, max_value=args.max_value
-            )
+            stream = qmod.sparse_sequence_f(args.base, budget, max_value=args.max_value)
     elif args.kind == "powersum":
         if not args.bases:
             raise ValueError("--bases is required for powersum streams")
@@ -157,28 +157,23 @@ def _cmd_enum(args) -> int:
             bases=_parse_int_list(args.bases),
             shared_divisor_check=not args.no_gcd_check,
         )
-        stream = spec.stream(max_value=args.max_value)
-    elif args.kind == "smooth":
+        stream = qmod.power_sum_sequence(spec, max_value=args.max_value)
+    else:  # smooth
         if not args.primes:
             raise ValueError("--primes is required for smooth streams")
         if args.limit is None:
             raise ValueError("--limit is required for smooth streams")
         stream = qmod.smooth_sequence(_parse_int_list(args.primes), args.limit)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown stream kind {args.kind}")
 
+    stream = islice(stream, args.take)
     with _output(args.output) as out:
         if args.format == "lines":
-            for j, v in enumerate(stream, start=1):
+            for v in stream:
                 print(v, file=out)
-                if args.take is not None and j >= args.take:
-                    break
         else:
             writer = RecordWriter(args.format, out)
             for j, v in enumerate(stream, start=1):
                 writer.write({"j": j, "value": xmod._json_int(v)})
-                if args.take is not None and j >= args.take:
-                    break
     return EXIT_OK
 
 
@@ -258,6 +253,22 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
+# Each bounds operation and the flags it cannot run without, by dest name.
+_BOUNDS_REQUIRED = {
+    "matveev": ("rationals", "exponents", "heights", "bigb"),
+    "yu": ("rationals", "exponents", "heights", "bigb", "p"),
+    "thm11": ("u", "k"),
+    "thm12": ("n", "k", "p_factor", "omega"),
+    "psi": ("u", "f_value"),
+    "thm13": ("u", "f_value", "delta0"),
+    "cor14": ("n", "nz"),
+    "cor15": ("n",),
+    "thm41": ("v", "k"),
+    "remark45": ("n", "p_factor"),
+    "nkbound": ("k", "primes"),
+}
+
+
 def _bounds_record(args) -> dict:
     op = args.op
     if op == "matveev" or op == "yu":
@@ -271,8 +282,6 @@ def _bounds_record(args) -> dict:
         )
         if op == "matveev":
             return {"op": op, "value": bmod.matveev_lower_bound(inp)}
-        if args.p is None:
-            raise ValueError("--p is required for the p-adic estimate")
         return {"op": op, "p": args.p, "value": bmod.yu_valuation_bound(inp, args.p)}
     if op == "thm11":
         return {"op": op, "value": bmod.thm11_threshold(args.u, args.k, args.eps)}
@@ -324,6 +333,10 @@ def _bounds_record(args) -> dict:
 
 
 def _cmd_bounds(args) -> int:
+    for dest in _BOUNDS_REQUIRED[args.op]:
+        if getattr(args, dest) is None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"bounds {args.op} needs {flag}")
     record = _bounds_record(args)
     for key, value in record.items():
         if value is None:
@@ -334,31 +347,36 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# What window_minima and the exit status read of a survey record.
+_Seen = namedtuple("_Seen", "j P")
+
+
 def _cmd_survey_sparse(args) -> int:
-    budget_fn = _digit_budget(args)
-    records = list(
-        xmod.sparse_survey(
-            args.base,
-            args.count,
-            k=args.k,
-            budget_fn=budget_fn,
-            factor_budget=args.budget,
-            eps=args.eps,
-            max_value=args.max_value,
-            workers=args.threads,
-        )
+    records = xmod.sparse_survey(
+        args.base,
+        args.count,
+        k=args.k,
+        budget_fn=_digit_budget(args),
+        factor_budget=args.budget,
+        eps=args.eps,
+        max_value=args.max_value,
+        workers=args.threads,
     )
+    seen = []
     with _output(args.output) as out:
         writer = RecordWriter(args.format, out)
         for rec in records:
             writer.write(xmod.survey_record_dict(rec))
-    for st in xmod.window_minima(records):
+            seen.append(_Seen(rec.j, rec.P))
+    stats = xmod.window_minima(seen)
+    for st in stats:
         print(
             f"# window t={st.t} j=[{st.j_lo},{st.j_hi}] "
             f"min_P={st.min_P} complete={st.complete}/{st.total}",
             file=sys.stderr,
         )
-    return EXIT_PARTIAL if any(not r.complete for r in records) else EXIT_OK
+    # P is None exactly on the partial records
+    return EXIT_PARTIAL if any(st.complete < st.total for st in stats) else EXIT_OK
 
 
 def _cmd_survey_stewart(args) -> int:
@@ -437,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--no-gcd-check", action="store_true")
     p_enum.add_argument("--primes", help="comma-separated primes for smooth")
     p_enum.add_argument("--limit", type=_int_arg, help="value cutoff for smooth streams")
-    p_enum.add_argument("--take", type=int, help="stop after this many terms")
+    p_enum.add_argument("--take", type=_int_at_least(0), help="stop after this many terms")
     p_enum.add_argument("--max-value", type=_int_arg, help="stop when values exceed this")
     p_enum.add_argument("--format", choices=["lines", "jsonl", "csv"], default="lines")
     p_enum.add_argument("--output")
@@ -457,13 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(handler=_cmd_trace)
 
     p_bounds = sub.add_parser("bounds", help="bound and threshold calculators")
-    p_bounds.add_argument(
-        "op",
-        choices=[
-            "matveev", "yu", "thm11", "thm12", "psi", "thm13",
-            "cor14", "cor15", "thm41", "remark45", "nkbound",
-        ],
-    )
+    p_bounds.add_argument("op", choices=list(_BOUNDS_REQUIRED))
     p_bounds.add_argument("--rationals", help="comma-separated, e.g. 2,3/2")
     p_bounds.add_argument("--exponents", help="comma-separated integers")
     p_bounds.add_argument("--heights", help="comma-separated reals; 'e' allowed")

@@ -10,6 +10,7 @@ are emitted with complete=False rather than dropped.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator, Optional
@@ -146,27 +147,34 @@ def sparse_survey(
     with fixed digit count k, or with a digit-budget function.
 
     Each record joins the expansion, the (possibly partial) factorization,
-    the applicable thresholds, and the proof-trace summary.  workers > 1
-    fans factorization out over processes; record order is unchanged.
+    the applicable thresholds, and the proof-trace summary.  Arguments are
+    validated eagerly; records are then made one value at a time.
+    workers > 1 fans factorization out over processes; record order is
+    unchanged.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if (k is None) == (budget_fn is None):
         raise ValueError("exactly one of k and budget_fn must be given")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     if k is not None:
         stream = sparse_sequence(base, k, max_value=max_value)
     else:
-        stream = sparse_sequence_f(
-            base, budget_fn, f_monotone=budget_fn.monotone, max_value=max_value
-        )
-    values = list(islice(stream, count))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            facts = list(pool.map(factorize, values, repeat(factor_budget), chunksize=16))
-    else:
-        facts = [factorize(v, factor_budget) for v in values]
-    for j, (value, fact) in enumerate(zip(values, facts), start=1):
-        yield _survey_record(j, value, base, k, fact, eps, budget_fn)
+        stream = sparse_sequence_f(base, budget_fn, max_value=max_value)
+    return _survey_records(
+        islice(stream, count), base, k, budget_fn, factor_budget, eps, workers
+    )
+
+
+def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            facts = map(factorize, values, repeat(factor_budget))
+        else:
+            facts = pool.map(factorize, values, repeat(factor_budget), chunksize=16)
+        for j, fact in enumerate(facts, start=1):
+            yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
 
 
 @dataclass

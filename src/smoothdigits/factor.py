@@ -293,7 +293,11 @@ def _brent_rho(n: int, max_iter: int):
 
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n, spending at most `budget` rho iterations on hard cofactors.
+    """Factor n, spending about `budget` rho iterations on hard cofactors.
+
+    The budget is checked after each doubling round of Brent's method, so a
+    cofactor can take up to one round more: with budget 5000 the rho on
+    (2**89 - 1) * (2**61 - 1) gives up after 8191 iterations.
 
     Always returns: if the budget runs out, the remaining composite goes to
     `cofactor` and `complete` is False.

@@ -3,8 +3,8 @@
 Sparse streams are generated in rounds by top exponent m: every member with
 top exponent m lies in [b**m, b**(m+1)), so sorting within a round gives
 global order and rounds never interleave.  All streams are strictly
-increasing, duplicate-free, and accept a max_value cutoff so that consumers
-of finite-tail streams terminate.
+increasing, duplicate-free, and accept a max_value cutoff; a sparse stream
+ends by itself once its digit budget stays below two digits.
 """
 
 import math
@@ -17,7 +17,6 @@ from .digits import nz_count
 from .factor import PrimeSet, _as_prime_set
 
 __all__ = [
-    "SparseSpec",
     "PowerSumSpec",
     "DigitBudget",
     "constant_budget",
@@ -42,8 +41,11 @@ def take(stream: Iterator[int], n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DigitBudget:
-    """Named digit-budget function n -> allowed number of nonzero digits.
+    """Named digit-budget function n -> allowed number of nonzero digits,
+    never below 1.
 
+    peak(lo, hi) is the largest allowance on [lo, hi]; hi None means no
+    upper end, and math.inf that the allowance grows without bound there.
     delta0 is the supremum of admissible slack for the f-indexed prime
     factor threshold; None when the family grows too fast for that
     threshold to apply.
@@ -52,7 +54,7 @@ class DigitBudget:
     name: str
     fn: Callable[[int], float]
     delta0: Optional[float]
-    monotone: bool = True
+    peak: Callable[[int, Optional[int]], float]
 
     def __call__(self, n: int) -> float:
         return self.fn(n)
@@ -61,7 +63,9 @@ class DigitBudget:
 def constant_budget(c: float) -> DigitBudget:
     if c < 1:
         raise ValueError("digit budget must be >= 1")
-    return DigitBudget(name=f"const:{c:g}", fn=lambda n: float(c), delta0=1.0)
+    return DigitBudget(
+        name=f"const:{c:g}", fn=lambda n: float(c), delta0=1.0, peak=lambda lo, hi: float(c)
+    )
 
 
 def loglog_budget(c: float) -> DigitBudget:
@@ -75,25 +79,36 @@ def loglog_budget(c: float) -> DigitBudget:
             return 1.0
         return max(1.0, c * math.log(math.log(n)))
 
-    return DigitBudget(name=f"loglog:{c:g}", fn=fn, delta0=None)
+    def peak(lo: int, hi: Optional[int]) -> float:
+        return math.inf if hi is None else fn(hi)  # fn never decreases
+
+    return DigitBudget(name=f"loglog:{c:g}", fn=fn, delta0=None, peak=peak)
 
 
 def sqrt_budget(c: float) -> DigitBudget:
     """f(n) = max(1, c*sqrt(loglog n * logloglog n / loglogloglog n))."""
     if c <= 0:
         raise ValueError("scale must be positive")
+    start = 3814281  # f is 1 below start; from it on loglogloglog n > 0
 
     def fn(n: int) -> float:
-        if n <= 3814280:  # below this the inner iterated log is <= 0
+        if n < start:
             return 1.0
         l2 = math.log(math.log(n))
         l3 = math.log(l2)
         l4 = math.log(l3)
-        if l4 <= 0:
-            return 1.0
         return max(1.0, c * math.sqrt(l2 * l3 / l4))
 
-    return DigitBudget(name=f"sqrtll:{c:g}", fn=fn, delta0=1.0)
+    def peak(lo: int, hi: Optional[int]) -> float:
+        # From start on, x*log x/log log x with x = loglog n first falls and
+        # then rises, so its largest value on [lo, hi] lies at an end or at
+        # start itself.
+        if hi is None:
+            return math.inf
+        ends = (lo, hi, start) if lo <= start <= hi else (lo, hi)
+        return max(map(fn, ends))
+
+    return DigitBudget(name=f"sqrtll:{c:g}", fn=fn, delta0=1.0, peak=peak)
 
 
 BUDGET_FAMILIES = {
@@ -112,58 +127,6 @@ def parse_budget_spec(spec: str) -> DigitBudget:
             f"{sorted(BUDGET_FAMILIES)}"
         )
     return BUDGET_FAMILIES[name](float(arg) if arg else 2.0)
-
-
-# ---------------------------------------------------------------------------
-# specs
-
-
-@dataclass(frozen=True)
-class SparseSpec:
-    """Base plus digit allowance: a fixed count k >= 2 or a DigitBudget."""
-
-    base: int
-    k: Optional[int] = None
-    budget: Optional[DigitBudget] = None
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if (self.k is None) == (self.budget is None):
-            raise ValueError("exactly one of k and budget must be given")
-        if self.k is not None and self.k < 2:
-            raise ValueError(f"fixed digit count must be >= 2, got {self.k}")
-
-    def stream(self, max_value: Optional[int] = None) -> Iterator[int]:
-        if self.k is not None:
-            return sparse_sequence(self.base, self.k, max_value=max_value)
-        return sparse_sequence_f(
-            self.base,
-            self.budget,
-            f_monotone=self.budget.monotone,
-            max_value=max_value,
-        )
-
-
-@dataclass(frozen=True)
-class PowerSumSpec:
-    """Bases a_1..a_k for sums a_1**n_1 + ... + a_k**n_k + 1."""
-
-    bases: tuple[int, ...]
-    shared_divisor_check: bool = True
-
-    def __post_init__(self):
-        if len(self.bases) < 2:
-            raise ValueError("need at least two bases")
-        if any(a < 1 for a in self.bases):
-            raise ValueError("bases must be positive")
-        if self.shared_divisor_check and math.gcd(*self.bases) < 2:
-            raise ValueError(
-                f"bases {self.bases} have no common divisor >= 2"
-            )
-
-    def stream(self, max_value: Optional[int] = None) -> Iterator[int]:
-        return power_sum_sequence(self, max_value=max_value)
 
 
 # ---------------------------------------------------------------------------
@@ -200,74 +163,65 @@ def sparse_sequence(
         raise ValueError(f"base must be >= 2, got {base}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _sparse_gen(base, k, max_value)
+    return _sparse_gen(base, constant_budget(k), max_value)
 
 
-def _sparse_gen(base, k, max_value):
+def sparse_sequence_f(
+    base: int, budget: DigitBudget, *, max_value: Optional[int] = None
+) -> Iterator[int]:
+    """Increasing stream of n (not divisible by `base`) with
+    nz_count(n, base) <= budget(n)."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    return _sparse_gen(base, budget, max_value)
+
+
+def _sparse_gen(base, budget, max_value):
+    """Every single digit, then the rounds [b**m, b**(m+1)) for m = 1, 2, ...
+
+    Candidates of a round carry up to floor(budget.peak) nonzero digits
+    over the round; a candidate is checked against the budget at its own
+    value only where the budget there is below that cap.  The stream ends
+    once no allowance from b**m on reaches two digits."""
     for d in range(1, base):
         if max_value is not None and d > max_value:
             return
         yield d
     m = 1
     while True:
-        if max_value is not None and base**m > max_value:
+        lo = base**m
+        if max_value is not None and lo > max_value or budget.peak(lo, None) < 2:
             return
-        for v in sorted(_round_members(base, k, m)):
-            if max_value is not None and v > max_value:
-                return
-            yield v
-        m += 1
-
-
-def sparse_sequence_f(
-    base: int,
-    f: Callable[[int], float],
-    *,
-    digit_cap: Optional[int] = None,
-    f_monotone: bool = True,
-    max_value: Optional[int] = None,
-) -> Iterator[int]:
-    """Increasing stream of n (not divisible by `base`) with
-    nz_count(n, base) <= f(n).
-
-    Candidates for the round [b**m, b**(m+1)) are generated with up to
-    ceil(sup f) nonzero digits, where the sup over the round is read off the
-    top of the round when f is monotone and must be supplied as digit_cap
-    otherwise; each candidate is then filtered through f at its own value.
-    """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if not f_monotone and digit_cap is None:
-        raise ValueError("non-monotone budgets need an explicit digit_cap")
-    return _sparse_f_gen(base, f, digit_cap, f_monotone, max_value)
-
-
-def _sparse_f_gen(base, f, digit_cap, f_monotone, max_value):
-    for d in range(1, base):
-        if max_value is not None and d > max_value:
-            return
-        if nz_count(d, base) <= f(d):
-            yield d
-    m = 1
-    while True:
-        if max_value is not None and base**m > max_value:
-            return
-        if f_monotone:
-            cap = math.ceil(f(base ** (m + 1) - 1))
-        else:
-            cap = digit_cap
-        if digit_cap is not None:
-            cap = min(cap, digit_cap)
+        cap = math.floor(budget.peak(lo, base * lo - 1))
         for v in sorted(_round_members(base, cap, m)):
             if max_value is not None and v > max_value:
                 return
-            if nz_count(v, base) <= f(v):
+            allowed = budget(v)
+            if allowed >= cap or nz_count(v, base) <= allowed:
                 yield v
         m += 1
 
 
 # ---------------------------------------------------------------------------
 # power sums
+
+
+@dataclass(frozen=True)
+class PowerSumSpec:
+    """Bases a_1..a_k for sums a_1**n_1 + ... + a_k**n_k + 1."""
+
+    bases: tuple[int, ...]
+    shared_divisor_check: bool = True
+
+    def __post_init__(self):
+        if len(self.bases) < 2:
+            raise ValueError("need at least two bases")
+        if any(a < 1 for a in self.bases):
+            raise ValueError("bases must be positive")
+        if self.shared_divisor_check and math.gcd(*self.bases) < 2:
+            raise ValueError(
+                f"bases {self.bases} have no common divisor >= 2"
+            )
 
 
 def power_sum_sequence(

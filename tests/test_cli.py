@@ -70,6 +70,20 @@ class TestEnum:
         proc = run_cli("enum", "--base", "2", "--k", "2", expect=2)
         assert proc.stdout == ""  # no partial output on the data stream
 
+    def test_take_zero_writes_no_values(self):
+        assert run_cli("enum", "--base", "2", "--k", "2", "--take", "0").stdout == ""
+        proc = run_cli(
+            "enum", "--base", "2", "--k", "2", "--take", "0", "--format", "jsonl"
+        )
+        assert proc.stdout == '{"schema": 1}\n'
+
+    def test_negative_take_rejected(self, tmp_path):
+        run_rejected(tmp_path, "enum", "--base", "2", "--k", "2", "--take", "-3")
+
+    def test_budget_below_two_ends(self):
+        proc = run_cli("enum", "--base", "2", "--f", "const:1", "--take", "5")
+        assert proc.stdout.split() == ["1"]
+
     def test_big_values_serialized_as_strings(self):
         proc = run_cli(
             "enum", "--base", "2", "--k", "2", "--take", "60", "--format", "jsonl"
@@ -212,6 +226,35 @@ class TestBounds:
         assert rec["value"] > 0
 
 
+# Each bounds operation with every flag it needs, as in the README.
+BOUNDS_EXAMPLES = {
+    "matveev": "--rationals 2,3 --exponents 1,1 --heights e,3 --bigb 3",
+    "yu": "--rationals 2,3 --exponents 1,1 --heights e,3 --bigb 3 --p 2",
+    "thm11": "--u 1e9 --k 3",
+    "thm12": "--n 18446744073709551617 --k 2 --p-factor 67280421310721 --omega 2",
+    "psi": "--u 1e9 --f-value 2",
+    "thm13": "--u 1e9 --f-value 0.2 --delta0 1.0",
+    "cor14": "--n 18446744073709551617 --nz 2",
+    "cor15": "--n 1e9",
+    "thm41": "--v 1e9 --k 2",
+    "remark45": "--n 4097 --p-factor 241",
+    "nkbound": "--k 3 --primes 2,3,5",
+}
+
+
+@pytest.mark.parametrize("op", sorted(BOUNDS_EXAMPLES))
+def test_bounds_missing_flag_exit_2(op, capsys):
+    args = BOUNDS_EXAMPLES[op].split()
+    assert main(["bounds", op] + args) == 0
+    capsys.readouterr()
+    for i in range(0, len(args), 2):
+        flag = args[i]
+        assert main(["bounds", op] + args[:i] + args[i + 2 :]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
+
 class TestSurvey:
     def test_sparse_jsonl(self):
         proc = run_cli(
@@ -282,6 +325,44 @@ class TestSurvey:
         run_rejected(
             tmp_path, "survey", "stewart", "--a", "2", "--base", "4", "--end", "10"
         )
+
+    def test_bad_sparse_input_rejected(self, tmp_path):
+        run_rejected(tmp_path, "survey", "sparse", "--k", "2", "--count", "0")
+        run_rejected(
+            tmp_path, "survey", "sparse", "--k", "2", "--count", "5", "--eps", "-1"
+        )
+
+    def test_stream_that_ends_early(self):
+        proc = run_cli(
+            "survey", "sparse", "--base", "3", "--f", "const:1", "--count", "5"
+        )
+        assert [json.loads(l)["value"] for l in proc.stdout.splitlines()[1:]] == [1, 2]
+
+    def test_first_record_written_after_one_factorization(self, monkeypatch):
+        from smoothdigits import experiments
+
+        calls = []
+        real = experiments.factorize
+
+        def counting(n, budget):
+            calls.append(n)
+            return real(n, budget)
+
+        class Stdout(io.StringIO):
+            at_first_record = None
+
+            def write(self, text):
+                if self.at_first_record is None and text.startswith('{"j"'):
+                    self.at_first_record = len(calls)
+                return super().write(text)
+
+        out = Stdout()
+        monkeypatch.setattr(experiments, "factorize", counting)
+        monkeypatch.setattr(sys, "stdout", out)
+        status = main(["survey", "sparse", "--base", "10", "--k", "3", "--count", "50"])
+        assert status == 0
+        assert out.at_first_record == 1
+        assert len(calls) == 50
 
     def test_partial_factorization_exit_3(self):
         proc = run_cli(

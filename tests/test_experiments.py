@@ -75,6 +75,21 @@ class TestSparseSurvey:
         par = [survey_record_dict(r) for r in sparse_survey(2, 12, k=3, workers=2)]
         assert seq == par
 
+    @pytest.mark.parametrize(
+        "count,kwargs",
+        [(0, {"k": 2}), (5, {}), (5, {"k": 2, "eps": -1.0}), (5, {"k": 1})],
+    )
+    def test_rejected_when_called(self, count, kwargs):
+        # before any record is requested, not at the first next()
+        with pytest.raises(ValueError):
+            sparse_survey(2, count, **kwargs)
+
+    def test_stream_that_ends_early(self):
+        from smoothdigits.sequences import constant_budget
+
+        recs = list(sparse_survey(3, 5, budget_fn=constant_budget(1)))
+        assert [r.value for r in recs] == [1, 2]
+
     def test_window_minima(self):
         recs = list(sparse_survey(2, 10, k=2))
         stats = window_minima(recs)

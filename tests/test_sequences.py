@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from smoothdigits.digits import nz_count, decompose
 from smoothdigits.factor import PrimeSet, is_s_unit
+from smoothdigits import sequences
 from smoothdigits.sequences import (
     PowerSumSpec,
-    SparseSpec,
     constant_budget,
     loglog_budget,
     parse_budget_spec,
@@ -90,15 +90,32 @@ class TestSparseSequenceF:
         ]
         assert got == expected
 
-    def test_non_monotone_requires_cap(self):
-        with pytest.raises(ValueError):
-            next(sparse_sequence_f(2, lambda n: 2.0, f_monotone=False))
-        got = list(
-            sparse_sequence_f(
-                2, lambda n: 2.0, f_monotone=False, digit_cap=2, max_value=40
-            )
-        )
-        assert got == [1, 3, 5, 9, 17, 33]
+    def test_falling_budget_matches_brute_force(self):
+        # sqrtll falls from about 7506 at 3814281 to about 17 at 2**22, so
+        # the allowance at the top of the round is not its largest.
+        f = sqrt_budget(0.5)
+        got = list(sparse_sequence_f(2, f, max_value=2**22 - 1))
+        expected = [1] + [
+            n for n in range(3814281, 2**22, 2) if nz_count(n, 2) <= f(n)
+        ]
+        assert got == expected
+
+    def test_budget_below_two_ends_by_itself(self):
+        assert list(sparse_sequence_f(3, constant_budget(1))) == [1, 2]
+        assert list(sparse_sequence_f(10, constant_budget(1.5))) == list(range(1, 10))
+
+    def test_fixed_k_never_counts_digits(self, monkeypatch):
+        calls = []
+
+        def counting(n, base):
+            calls.append(n)
+            return nz_count(n, base)
+
+        monkeypatch.setattr(sequences, "nz_count", counting)
+        take(sparse_sequence(10, 3), 2000)
+        assert calls == []
+        take(sparse_sequence_f(2, loglog_budget(1.0)), 200)
+        assert calls
 
 
 class TestBudgetFamilies:
@@ -118,6 +135,16 @@ class TestBudgetFamilies:
     def test_sqrt_budget_grows(self):
         f = sqrt_budget(1.0)
         assert f(10**9) > 1.0
+
+    @pytest.mark.parametrize("spec", ["const:3", "loglog:1", "sqrtll:0.5", "sqrtll:2"])
+    def test_peak_bounds_the_budget(self, spec):
+        f = parse_budget_spec(spec)
+        for lo, hi in [(1, 100), (3 * 10**6, 4 * 10**6), (3814281, 3814300),
+                       (2**21, 2**22 - 1), (2**22, 2**23 - 1), (10**9, 10**12)]:
+            step = max(1, (hi - lo) // 5000)
+            sampled = max(f(n) for n in range(lo, hi + 1, step))
+            assert f.peak(lo, hi) >= max(sampled, f(hi))
+        assert f.peak(10**9, None) >= f(10**30)
 
 
 class TestPowerSum:
@@ -212,19 +239,3 @@ class TestLongStreams:
         terms = take(smooth_sequence([2, 3, 5], 10**19), 10**4)
         assert len(terms) == 10**4
         assert all(a < b for a, b in zip(terms, terms[1:]))
-
-
-class TestSparseSpec:
-    def test_stream_dispatch(self):
-        spec = SparseSpec(base=2, k=2)
-        assert take(spec.stream(), 3) == [1, 3, 5]
-        spec_f = SparseSpec(base=2, budget=constant_budget(2))
-        assert take(spec_f.stream(), 3) == [1, 3, 5]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseSpec(base=2)
-        with pytest.raises(ValueError):
-            SparseSpec(base=2, k=2, budget=constant_budget(2))
-        with pytest.raises(ValueError):
-            SparseSpec(base=2, k=1)
