@@ -1,14 +1,17 @@
 """Factorization core for machine-word inputs, built on a numpy prime sieve.
 
-Everything here is restricted to n < 2**31.  Larger inputs take the
-arbitrary-precision path in `factor`.  The one piece of machinery is a
-smallest-prime-factor (SPF) table made by a numpy sieve:
+Everything here but `divide_out` is restricted to n < 2**31.  Larger inputs
+take the arbitrary-precision path in `factor`.  The one piece of machinery
+is a smallest-prime-factor (SPF) table made by a numpy sieve:
 
 * `factor_small` works on plain Python ints.  Below 2**16 it reads the
   factors off a table built at import (65536 entries, about a millisecond).
   Above that it trial-divides by the table's primes, all of those up to
   isqrt(n) in one vectorized pass; they reach past sqrt(2**31), so whatever
   cofactor survives the division is 1 or prime.
+* `primes_up_to` reads the primes off a table of the size asked for.
+* `divide_out` is the one loop, for integers of any size, that removes the
+  full power of a prime.
 * `factor_stats_range` builds the table for the whole range it is asked
   about and derives each n's statistics from those of n // spf[n], in
   vectorized blocks.
@@ -39,16 +42,27 @@ def _spf_table(limit):
     return spf
 
 
-_SMALL_SPF = _spf_table(_SMALL_LIMIT - 1).tolist()  # plain ints index fastest
-_SMALL_PRIMES = np.flatnonzero(
-    _spf_table(_SMALL_LIMIT - 1) == np.arange(_SMALL_LIMIT)
-)[2:]
+def _table_primes(spf):
+    """The primes of an SPF table: the n >= 2 with spf[n] == n."""
+    return np.flatnonzero(spf == np.arange(len(spf)))[2:]
 
 
-def _divide_out(n, p):
-    """Return (n / p**e, e) for the largest e with p**e dividing n."""
-    n //= p
-    e = 1
+def primes_up_to(limit):
+    """All primes <= limit, as a list of ints.  The SPF table is int32, so
+    limit must be below 2**31."""
+    if limit < 2:
+        return []
+    return _table_primes(_spf_table(limit)).tolist()
+
+
+_SMALL_TABLE = _spf_table(_SMALL_LIMIT - 1)
+_SMALL_SPF = _SMALL_TABLE.tolist()  # plain ints index fastest
+_SMALL_PRIMES = _table_primes(_SMALL_TABLE)
+
+
+def divide_out(n, p):
+    """Return (n / p**e, e) for the largest e >= 0 with p**e dividing n."""
+    e = 0
     while n % p == 0:
         n //= p
         e += 1
@@ -64,14 +78,14 @@ def factor_small(n):
     if n < _SMALL_LIMIT:
         while n > 1:
             p = _SMALL_SPF[n]
-            n, e = _divide_out(n, p)
+            n, e = divide_out(n, p)
             pairs.append((p, e))
         return pairs
     # One vectorized pass finds every prime up to isqrt(n) that divides n.
     # What is left after dividing them out is 1 or a prime.
     basis = _SMALL_PRIMES[: np.searchsorted(_SMALL_PRIMES, math.isqrt(n), side="right")]
     for p in basis[n % basis == 0].tolist():
-        n, e = _divide_out(n, p)
+        n, e = divide_out(n, p)
         pairs.append((p, e))
     if n > 1:
         pairs.append((n, 1))

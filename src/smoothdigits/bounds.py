@@ -24,7 +24,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .digits import DigitExpansion, condition_3_2, decompose
-from .factor import Factorization, PrimeSet, is_prime, smallest_prime_factor, p_adic_valuation
+from .factor import (
+    Factorization,
+    PrimeSet,
+    _as_prime_set,
+    is_prime,
+    is_smooth,
+    p_adic_valuation,
+    smallest_prime_factor,
+)
 
 __all__ = [
     "BoundInput",
@@ -83,6 +91,11 @@ def _float_at_least(n) -> float:
     if f < n:
         f = math.nextafter(f, math.inf)
     return f
+
+
+def _height(x) -> float:
+    """Height of the positive integer x: a float >= max(x, e)."""
+    return max(_float_at_least(x), E)
 
 
 def _prod_up(factors) -> float:
@@ -214,10 +227,7 @@ def matveev_lower_bound(inp: BoundInput) -> float:
 
     rounded so the returned value never exceeds the true logarithm.
     """
-    n = inp.n
-    if n < 2:
-        raise ValueError("the estimate requires n >= 2")
-    factors = _matveev_head(n) + [_log_up(_up(E * inp.exponent_bound))]
+    factors = _matveev_head(inp.n) + [_log_up(_up(E * inp.exponent_bound))]
     factors.extend(_log_up(a) for a in inp.heights)
     return -_prod_up(factors)
 
@@ -230,12 +240,9 @@ def yu_valuation_bound(inp: BoundInput, p: int) -> float:
 
     rounded so the returned value is never below the true valuation.
     """
-    n = inp.n
-    if n < 2:
-        raise ValueError("the estimate requires n >= 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = _yu_head(n, p) + [_log_up(inp.exponent_bound)]
+    factors = _yu_head(inp.n, p) + [_log_up(inp.exponent_bound)]
     factors.extend(_log_up(a) for a in inp.heights)
     return _prod_up(factors)
 
@@ -311,6 +318,19 @@ def ell_select(e: DigitExpansion) -> int:
     return k - 2
 
 
+def _form(pairs, extra_terms, exponent_bound: float) -> BoundInput:
+    """The linear form over the primes of N with their exponents, followed
+    by the extra (integer, exponent) terms; every height is _height's."""
+    terms = tuple(pairs) + tuple(extra_terms)
+    return BoundInput(
+        rationals=tuple(Fraction(x) for x, _ in terms),
+        exponents=tuple(e for _, e in terms),
+        heights=tuple(_height(x) for x, _ in terms),
+        exponent_bound=exponent_bound,
+        assume_product_nontrivial=True,
+    )
+
+
 def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceReport:
     """Evaluate the proof inequalities for one integer N (not divisible by
     `base`, fully factored, with at least two nonzero digits)."""
@@ -336,91 +356,42 @@ def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceRepor
 
     if k == 2 or n_k >= 2 * exps[-2]:
         # archimedean form: (prod q_i^{r_i}) / (d_k b^{n_k}) - 1
+        branch, ell, p, v = "lambda_a", None, None, None
         den = digs[-1] * base**n_k
         lam = Fraction(N - den, den)
         log_lam = math.log(lam.numerator) - math.log(lam.denominator)
-        rows = []
         rhs34 = -(n_k / 2.0 - 1.0) * lb
-        rows.append(
-            TraceRow("3.4", log_lam, rhs34, log_lam <= rhs34, "upper bound from digit tail")
+        form = _form(pairs, ((digs[-1], -1), (base, -n_k)), float(max(3, n_k, r_max)))
+        mat = matveev_lower_bound(form)
+        rows = (
+            TraceRow("3.4", log_lam, rhs34, log_lam <= rhs34, "upper bound from digit tail"),
+            TraceRow("3.5", log_lam, mat, log_lam >= mat, "archimedean lower bound"),
         )
-        rationals = [Fraction(q) for q, _ in pairs] + [Fraction(digs[-1]), Fraction(base)]
-        exponents = [e for _, e in pairs] + [-1, -n_k]
-        heights = [max(_float_at_least(q), E) for q, _ in pairs] + [
-            max(float(digs[-1]), E),
-            max(float(base), E),
-        ]
-        big_b = float(max(3, n_k, r_max))
-        inp = BoundInput(
-            rationals=tuple(rationals),
-            exponents=tuple(exponents),
-            heights=tuple(heights),
-            exponent_bound=big_b,
-            assume_product_nontrivial=True,
+    else:
+        # p-adic form: split the expansion at ell
+        branch = "lambda_u"
+        ell = ell_select(expansion)
+        p = smallest_prime_factor(base)
+        t_low = sum(d * base**e for e, d in expansion.terms[:ell])
+        lam = Fraction(N - t_low, t_low)
+        v = p_adic_valuation(lam, p)
+        n_ell = exps[ell - 1]
+        n_ell1 = exps[ell]
+        exponent = ell / (k - 2)
+        links = (
+            n_ell1 - (1 + n_ell) * lb / math.log(p),
+            0.5 * n_k**exponent - (1 + n_k ** ((ell - 1) / (k - 2))) * lb / LOG2,
+            0.5 * n_k**exponent - 2 * n_k**exponent * lb / (n_k ** (1 / (k - 2)) * LOG2),
+            0.25 * n_k**exponent,
         )
-        mat = matveev_lower_bound(inp)
-        rows.append(
-            TraceRow("3.5", log_lam, mat, log_lam >= mat, "archimedean lower bound")
-        )
-        return TraceReport(
-            N=N,
-            base=base,
-            branch="lambda_a",
-            k=k,
-            k_star=k_star,
-            ell=None,
-            p=None,
-            lambda_value=lam,
-            valuation=None,
-            size_condition_met=size_ok,
-            rows=tuple(rows),
-        )
-
-    # p-adic form: split the expansion at ell
-    ell = ell_select(expansion)
-    p = smallest_prime_factor(base)
-    t_low = sum(d * base**e for e, d in expansion.terms[:ell])
-    lam = Fraction(N - t_low, t_low)
-    v = p_adic_valuation(lam, p)
-    n_ell = exps[ell - 1]
-    n_ell1 = exps[ell]
-    exponent = ell / (k - 2)
-    rows = []
-    rhs1 = n_ell1 - (1 + n_ell) * lb / math.log(p)
-    rows.append(TraceRow("3.7", float(v), rhs1, v >= rhs1, "link 1"))
-    rhs2 = 0.5 * n_k**exponent - (1 + n_k ** ((ell - 1) / (k - 2))) * lb / LOG2
-    rows.append(TraceRow("3.7", float(v), rhs2, v >= rhs2, "link 2"))
-    rhs3 = 0.5 * n_k**exponent - 2 * n_k**exponent * lb / (n_k ** (1 / (k - 2)) * LOG2)
-    rows.append(TraceRow("3.7", float(v), rhs3, v >= rhs3, "link 3"))
-    rhs4 = 0.25 * n_k**exponent
-    rows.append(TraceRow("3.7", float(v), rhs4, v >= rhs4, "link 4"))
-
-    rationals = [Fraction(q) for q, _ in pairs] + [Fraction(t_low)]
-    exponents = [e for _, e in pairs] + [-1]
-    heights = [max(_float_at_least(q), E) for q, _ in pairs] + [
-        max(_float_at_least(t_low), E)
-    ]
-    inp = BoundInput(
-        rationals=tuple(rationals),
-        exponents=tuple(exponents),
-        heights=tuple(heights),
-        exponent_bound=float(max(3, r_max)),
-        assume_product_nontrivial=True,
-    )
-    yu = yu_valuation_bound(inp, p)
-    rows.append(TraceRow("3.8", float(v), yu, v < yu, "p-adic upper bound"))
+        yu = yu_valuation_bound(_form(pairs, ((t_low, -1),), float(max(3, r_max))), p)
+        rows = tuple(
+            TraceRow("3.7", float(v), rhs, v >= rhs, f"link {i}")
+            for i, rhs in enumerate(links, start=1)
+        ) + (TraceRow("3.8", float(v), yu, v < yu, "p-adic upper bound"),)
     return TraceReport(
-        N=N,
-        base=base,
-        branch="lambda_u",
-        k=k,
-        k_star=k_star,
-        ell=ell,
-        p=p,
-        lambda_value=lam,
-        valuation=v,
-        size_condition_met=size_ok,
-        rows=tuple(rows),
+        N=N, base=base, branch=branch, k=k, k_star=k_star, ell=ell, p=p,
+        lambda_value=lam, valuation=v, size_condition_met=size_ok, rows=rows,
     )
 
 
@@ -461,19 +432,17 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
         raise ValueError(f"base must be >= 2, got {base}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if not isinstance(prime_set, PrimeSet):
-        prime_set = PrimeSet(tuple(sorted(set(prime_set))))
-    qs = prime_set.primes
+    qs = _as_prime_set(prime_set).primes
     s = len(qs)
     lb = math.log(base)
-    prime_logs = [_log_up(max(_float_at_least(q), E)) for q in qs]
+    prime_logs = [_log_up(_height(q)) for q in qs]
 
     # archimedean branch: n = s + 2
     n_a = s + 2
     prefactor_a = _prod_up(
         _matveev_head(n_a)
         + prime_logs
-        + [_log_up(max(float(base - 1), E)), _log_up(max(float(base), E))]
+        + [_log_up(_height(base - 1)), _log_up(_height(base))]
     )
     # exponents are at most (x+1)*log b / log 2 <= x * (2 log b / log 2)
     shift_a = math.log(2.0 * E * lb / LOG2)
@@ -539,18 +508,23 @@ class ThresholdParams:
     C_thm12: Optional[float] = None
 
 
-def thm11_threshold(u, k: int, eps: float = 0.0) -> Optional[float]:
-    """(1/(k-2) - eps) * loglog u * (logloglog u / loglogloglog u), or None
+def _tower_threshold(u, share: float, eps: float) -> Optional[float]:
+    """(share - eps) * loglog u * (logloglog u / loglogloglog u), or None
     where an iterated logarithm is not positive."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     tower = log_tower(u, 4)
     if tower is None:
         return None
     _, l2, l3, l4 = tower
-    return (1.0 / (k - 2) - eps) * l2 * (l3 / l4)
+    return (share - eps) * l2 * (l3 / l4)
+
+
+def thm11_threshold(u, k: int, eps: float = 0.0) -> Optional[float]:
+    """The iterated-log threshold with share 1/(k-2) (see _tower_threshold)."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    return _tower_threshold(u, 1.0 / (k - 2), eps)
 
 
 def thm12_gap(n: int, k: int, P: int, w: int, params: ThresholdParams) -> float:
@@ -623,8 +597,6 @@ def cor14_check(n: int, nz: int) -> tuple[Cor14Row, Cor14Row, Cor14Row]:
     nonzero digits.  Rows whose iterated logarithms are not positive are
     marked not applicable.  `violated` means: n is that row's smooth-bound
     smooth AND has fewer than the required digits."""
-    from .factor import is_smooth  # deferred: keeps module import light
-
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if nz < 1:
@@ -666,17 +638,11 @@ def cor15_threshold(n, eps: float = 0.0) -> Optional[float]:
 
 
 def thm41_threshold(v, k: int, eps: float = 0.0) -> Optional[float]:
-    """(1/(k-1) - eps) * loglog v * (logloglog v / loglogloglog v) for the
-    power-sum sequence; None below applicability."""
+    """The iterated-log threshold with share 1/(k-1) for the power-sum
+    sequence (see _tower_threshold)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    tower = log_tower(v, 4)
-    if tower is None:
-        return None
-    _, l2, l3, l4 = tower
-    return (1.0 / (k - 1) - eps) * l2 * (l3 / l4)
+    return _tower_threshold(v, 1.0 / (k - 1), eps)
 
 
 def remark45_check(N: int, P: int, c: float) -> Optional[bool]:

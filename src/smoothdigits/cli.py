@@ -26,7 +26,6 @@ from .digits import nz_count  # unused here; perfbench/tracer.py patches it by n
 from .factor import (
     DEFAULT_BUDGET,
     IncompleteFactorizationError,
-    PrimeSet,
     factorize,
 )
 
@@ -98,6 +97,17 @@ def _int_arg(text: str) -> int:
     if value is None or value.denominator != 1 or "/" in text:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return value.numerator
+
+
+def _real_arg(text: str) -> float:
+    """Real-valued flag; nan and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite real number")
+    return value
 
 
 def _int_at_least(low: int):
@@ -286,8 +296,11 @@ def _bounds_record(args) -> dict:
     if op == "thm11":
         return {"op": op, "value": bmod.thm11_threshold(args.u, args.k, args.eps)}
     if op == "thm12":
-        if args.c is None or args.big_c is None:
+        if args.c is None and args.big_c is None:
             c, big_c = bmod.thm12_default_constants(args.base)
+        elif args.c is None or args.big_c is None:
+            missing = "--c" if args.c is None else "--big-c"
+            raise ValueError(f"bounds thm12 needs {missing} as well: give both or neither")
         else:
             c, big_c = args.c, args.big_c
         params = bmod.ThresholdParams(c_thm12=c, C_thm12=big_c)
@@ -319,16 +332,11 @@ def _bounds_record(args) -> dict:
     if op == "thm41":
         return {"op": op, "value": bmod.thm41_threshold(args.v, args.k, args.eps)}
     if op == "remark45":
-        return {
-            "op": op,
-            "value": bmod.remark45_check(args.n, args.p_factor, args.c or 1.0),
-        }
+        c = 1.0 if args.c is None else args.c
+        return {"op": op, "value": bmod.remark45_check(args.n, args.p_factor, c)}
     if op == "nkbound":
-        prime_set = PrimeSet(_parse_int_list(args.primes))
-        return {
-            "op": op,
-            "value": bmod.lemma31_nk_bound(args.base, args.k, prime_set),
-        }
+        primes = _parse_int_list(args.primes)
+        return {"op": op, "value": bmod.lemma31_nk_bound(args.base, args.k, primes)}
     raise ValueError(f"unknown bounds operation {op}")  # pragma: no cover
 
 
@@ -479,19 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--rationals", help="comma-separated, e.g. 2,3/2")
     p_bounds.add_argument("--exponents", help="comma-separated integers")
     p_bounds.add_argument("--heights", help="comma-separated reals; 'e' allowed")
-    p_bounds.add_argument("--bigb", type=float, help="exponent bound B")
+    p_bounds.add_argument("--bigb", type=_real_arg, help="exponent bound B")
     p_bounds.add_argument("--assume-nontrivial", action="store_true")
     p_bounds.add_argument("--p", type=int, help="prime for the p-adic estimate")
-    p_bounds.add_argument("--u", type=float)
-    p_bounds.add_argument("--v", type=float)
+    p_bounds.add_argument("--u", type=_real_arg)
+    p_bounds.add_argument("--v", type=_real_arg)
     p_bounds.add_argument("--n", type=_int_arg)
     p_bounds.add_argument("--nz", type=int)
     p_bounds.add_argument("--k", type=int)
-    p_bounds.add_argument("--eps", type=float, default=0.0)
-    p_bounds.add_argument("--f-value", type=float)
-    p_bounds.add_argument("--delta0", type=float)
-    p_bounds.add_argument("--c", type=float)
-    p_bounds.add_argument("--big-c", type=float, dest="big_c")
+    p_bounds.add_argument("--eps", type=_real_arg, default=0.0)
+    p_bounds.add_argument("--f-value", type=_real_arg)
+    p_bounds.add_argument("--delta0", type=_real_arg)
+    p_bounds.add_argument("--c", type=_real_arg)
+    p_bounds.add_argument("--big-c", type=_real_arg, dest="big_c")
     p_bounds.add_argument("--omega", type=int)
     p_bounds.add_argument("--p-factor", type=int)
     p_bounds.add_argument("--base", type=int, default=2)
@@ -508,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparse.add_argument("--k", type=int)
     p_sparse.add_argument("--f", help="digit budget family spec")
     p_sparse.add_argument("--count", type=int, required=True)
-    p_sparse.add_argument("--eps", type=float, default=0.0)
+    p_sparse.add_argument("--eps", type=_real_arg, default=0.0)
     p_sparse.add_argument("--max-value", type=_int_arg)
     p_sparse.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_sparse.add_argument("--output")
@@ -534,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--primes", required=True)
     p_search.add_argument("--limit", type=_int_arg, required=True)
-    p_search.add_argument("--eps", type=float, default=0.0)
+    p_search.add_argument("--eps", type=_real_arg, default=0.0)
     p_search.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_search.add_argument("--output")
     p_search.set_defaults(handler=_cmd_search)

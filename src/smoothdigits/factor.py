@@ -16,6 +16,7 @@ from itertools import count
 from typing import Optional
 
 from . import _fastfactor
+from ._fastfactor import divide_out, primes_up_to
 
 __all__ = [
     "IncompleteFactorizationError",
@@ -45,19 +46,15 @@ class IncompleteFactorizationError(RuntimeError):
 # primality
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a byte sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 _SMALL_PRIMES = tuple(primes_up_to(1000))
+
+
+def _trial_divisors():
+    """The primes below 1000, then every odd number after them.  A composite
+    candidate never divides: its prime factors, all smaller, are out by then."""
+    yield from _SMALL_PRIMES
+    yield from count(_SMALL_PRIMES[-1] + 2, 2)
+
 
 # (limit, bases): Miller-Rabin is deterministic below each limit with the
 # given bases.  The final tier (3.3e24) uses the first 12 primes.
@@ -116,14 +113,11 @@ def smallest_prime_factor(b: int) -> int:
     """Least prime dividing b (b >= 2)."""
     if b < 2:
         raise ValueError(f"need b >= 2, got {b}")
-    if b % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= b:
+    for d in _trial_divisors():
+        if d * d > b:
+            return b
         if b % d == 0:
             return d
-        d += 2
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +268,7 @@ def _brent_rho(n: int, max_iter: int):
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             used += r
@@ -285,7 +279,7 @@ def _brent_rho(n: int, max_iter: int):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 used += 1
         if g != n:
             return g, used
@@ -316,11 +310,7 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found[p] = e
+            n, found[p] = divide_out(n, p)
     remaining = budget
     failed = 1
     stack = [n] if n > 1 else []
@@ -388,9 +378,8 @@ def s_part(n: int, s) -> int:
     s = _as_prime_set(s)
     part = 1
     for q in s:
-        while n % q == 0:
-            n //= q
-            part *= q
+        n, e = divide_out(n, q)
+        part *= q**e
     return part
 
 
@@ -402,29 +391,12 @@ def is_smooth(n: int, bound: float) -> bool:
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if n == 1:
-        return True
-    if bound < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if p > bound:
-            return n == 1
-        if p * p > n:
-            return n <= bound
-        while n % p == 0:
-            n //= p
-        if n == 1:
-            return True
-    # Continue with odd candidates; composites never divide because their
-    # prime factors were already removed.
-    d = _SMALL_PRIMES[-1] + 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            n //= d
-        d += 2
-    if d * d > n:
-        return n <= bound  # cofactor is 1 or prime
-    return n == 1  # every prime <= bound removed, rough part remains
+    for d in _trial_divisors():
+        if d > bound:
+            return n == 1  # every prime <= bound is out
+        if d * d > n:
+            return n <= bound  # what is left is 1 or a prime
+        n, _ = divide_out(n, d)
 
 
 def is_s_unit(n: int, s) -> bool:
@@ -440,12 +412,4 @@ def p_adic_valuation(z, p: int) -> int:
     z = Fraction(z)
     if z == 0:
         raise ValueError("valuation of zero is undefined")
-
-    def _vp(m: int) -> int:
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        return v
-
-    return _vp(abs(z.numerator)) - _vp(z.denominator)
+    return divide_out(z.numerator, p)[1] - divide_out(z.denominator, p)[1]

@@ -126,7 +126,10 @@ def parse_budget_spec(spec: str) -> DigitBudget:
             f"unknown digit-budget family {name!r}; choose from "
             f"{sorted(BUDGET_FAMILIES)}"
         )
-    return BUDGET_FAMILIES[name](float(arg) if arg else 2.0)
+    param = float(arg) if arg else 2.0
+    if not math.isfinite(param):
+        raise ValueError(f"digit-budget parameter must be finite, got {arg!r}")
+    return BUDGET_FAMILIES[name](param)
 
 
 # ---------------------------------------------------------------------------

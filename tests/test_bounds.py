@@ -253,6 +253,14 @@ class TestTrace:
         rep = lemma31_trace(n, 2, factorize(n))
         assert rep.branch == "lambda_u"
 
+    def test_base_above_float_precision(self):
+        # 2**60 + 1 is not a float; its height must round up, not down
+        base = 2**60 + 1
+        rep = lemma31_trace(base + 1, base, factorize(base + 1))
+        assert rep.branch == "lambda_a"
+        assert rep.lambda_value == Fraction(1, base)
+        assert rep.expected_rows_hold
+
     def test_rejects_single_digit(self):
         with pytest.raises(ValueError):
             lemma31_trace(8, 10, factorize(8))

@@ -84,6 +84,17 @@ class TestEnum:
         proc = run_cli("enum", "--base", "2", "--f", "const:1", "--take", "5")
         assert proc.stdout.split() == ["1"]
 
+    @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "sqrtll:nan"])
+    def test_non_finite_budget_parameter_rejected(self, spec):
+        # sqrtll:nan used to hang after its first value, hence the timeout
+        proc = subprocess.run(
+            RUN + ["enum", "--base", "2", "--f", spec, "--take", "5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "finite" in proc.stderr
+
     def test_big_values_serialized_as_strings(self):
         proc = run_cli(
             "enum", "--base", "2", "--k", "2", "--take", "60", "--format", "jsonl"
@@ -179,6 +190,10 @@ class TestTrace:
     def test_divisible_by_base_is_domain_error(self):
         run_cli("trace", "10", "--base", "2", expect=2)
 
+    def test_base_above_float_precision(self):
+        proc = run_cli("trace", str(2**60 + 2), "--base", str(2**60 + 1))
+        assert "branch = lambda_a" in proc.stdout
+
 
 class TestBounds:
     def test_thm11(self):
@@ -224,6 +239,49 @@ class TestBounds:
         )
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["value"] > 0
+
+
+    def test_remark45_c_zero_rejected(self, tmp_path):
+        run_rejected(
+            tmp_path, "bounds", "remark45", "--n", "4097", "--p-factor", "241", "--c", "0"
+        )
+
+    @pytest.mark.parametrize("given, missing", [("--c", "--big-c"), ("--big-c", "--c")])
+    def test_thm12_needs_both_constants(self, given, missing, capsys):
+        args = ["bounds", "thm12", "--n", str(2**64 + 1), "--k", "2",
+                "--p-factor", "67280421310721", "--omega", "2", given, "5"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bounds thm12 needs {missing} ")
+
+    def test_nkbound_primes_in_any_order(self):
+        args = ["bounds", "nkbound", "--base", "10", "--k", "3", "--primes"]
+        assert run_cli(*args, "3,2").stdout == run_cli(*args, "2,3").stdout
+
+
+# Flags that take a real number, each given a value that is not finite.
+NON_FINITE_ARGS = [
+    "bounds matveev --rationals 2,3 --exponents 1,1 --heights e,3 --bigb nan",
+    "bounds matveev --rationals 2,3 --exponents 1,1 --heights e,3 --bigb inf",
+    "bounds thm11 --u 1e9 --k 3 --eps nan",
+    "bounds thm11 --u=-inf --k 3",
+    "bounds thm41 --v 1e9 --k 2 --eps inf",
+    "bounds cor15 --n 1e9 --eps nan",
+    "bounds thm13 --u 1e9 --f-value 0.2 --delta0 nan",
+    "bounds psi --u 1e9 --f-value nan",
+    "bounds psi --u 1e9 --f-value inf",
+    "bounds remark45 --n 4097 --p-factor 241 --c nan",
+    "bounds thm12 --n 18446744073709551617 --k 2 --p-factor 67280421310721 --omega 2 "
+    "--c nan --big-c 1",
+    "survey sparse --base 10 --k 3 --count 20 --eps nan",
+    "search --base 2 --k 3 --primes 3,5,7 --limit 1e12 --eps nan",
+]
+
+
+@pytest.mark.parametrize("args", NON_FINITE_ARGS)
+def test_non_finite_real_rejected(args, tmp_path):
+    run_rejected(tmp_path, *args.split())
 
 
 # Each bounds operation with every flag it needs, as in the README.

@@ -249,6 +249,36 @@ class TestSmallestPrimeFactor:
         assert smallest_prime_factor(97) == 97
 
 
+class TestTrialDivision:
+    """is_smooth and smallest_prime_factor walk one trial-divisor order: the
+    primes below 1000, then odd numbers.  Both against sympy."""
+
+    NUMBERS = st.one_of(
+        st.integers(min_value=1, max_value=2**40 - 1),
+        st.lists(st.sampled_from([2, 3, 997, 1009, 1013, 65537, 999983]), max_size=3)
+        .map(math.prod)
+        .filter(lambda n: n < 2**40),
+    )
+    BOUNDS = st.one_of(
+        st.sampled_from([0, 1, 1.5, 2, 996.5, 997, 998, 1008, 1009, 1009.5, 1013, math.inf]),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=2.0, max_value=1e7),
+        st.integers(min_value=1000, max_value=10**7),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=NUMBERS, bound=BOUNDS)
+    def test_is_smooth_matches_sympy(self, n, bound):
+        sympy = pytest.importorskip("sympy")
+        assert is_smooth(n, bound) == (n == 1 or max(sympy.factorint(n)) <= bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=NUMBERS.filter(lambda n: n >= 2))
+    def test_smallest_prime_factor_matches_sympy(self, b):
+        sympy = pytest.importorskip("sympy")
+        assert smallest_prime_factor(b) == min(sympy.factorint(b))
+
+
 class TestPrimeSet:
     def test_validates(self):
         with pytest.raises(ValueError):
