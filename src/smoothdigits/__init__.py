@@ -61,6 +61,7 @@ from .experiments import (
     SurveyRecord,
     cyclotomic_smooth,
     cyclotomic_value,
+    mobius,
     smooth_sparse_search,
     sparse_survey,
     stewart_survey,

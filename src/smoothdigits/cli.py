@@ -212,12 +212,12 @@ def _trace_dict(report) -> dict:
     lam = report.lambda_value
     return {
         "N": xmod._json_int(report.N),
-        "base": report.base,
+        "base": xmod._json_int(report.base),
         "branch": report.branch,
         "k": report.k,
         "k_star": report.k_star,
         "ell": report.ell,
-        "p": report.p,
+        "p": None if report.p is None else xmod._json_int(report.p),
         "lambda_num": xmod._json_int(lam.numerator),
         "lambda_den": xmod._json_int(lam.denominator),
         "valuation": report.valuation,

@@ -18,11 +18,13 @@ from typing import Iterator, Optional
 from .digits import decompose, nz_count
 from .factor import (
     DEFAULT_BUDGET,
-    Factorization,
     PrimeSet,
     _as_prime_set,
-    _perfect_power,
+    _divisors,
+    _primitive_power,
+    cyclotomic_value,
     factorize,
+    mobius,
 )
 from .bounds import (
     cor15_threshold,
@@ -170,11 +172,22 @@ def sparse_survey(
 def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
-            facts = map(factorize, values, repeat(factor_budget))
+            facts = _factor_in_batches(values, factor_budget)
         else:
             facts = pool.map(factorize, values, repeat(factor_budget), chunksize=16)
         for j, fact in enumerate(facts, start=1):
             yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
+
+
+def _factor_in_batches(values, budget):
+    """factorize over values, a batch of 1, 2, 4, ... up to 256 values at a
+    time: records built after a whole batch run faster than records
+    interleaved with each call, and the first still follows one call."""
+    values = iter(values)
+    size = 1
+    while batch := list(islice(values, size)):
+        yield from [factorize(v, budget) for v in batch]
+        size = min(2 * size, 256)
 
 
 @dataclass
@@ -221,20 +234,11 @@ class StewartRow:
     exceeds: bool
 
 
-def _primitive_base(n: int) -> int:
-    """Smallest g with n = g**e for some e >= 1."""
-    while True:
-        power = _perfect_power(n)
-        if power is None:
-            return n
-        n = power[0]
-
-
 def multiplicatively_independent(a: int, b: int) -> bool:
     """True unless a and b are both integer powers of a common g >= 2."""
     if a < 2 or b < 2:
         raise ValueError("both arguments must be >= 2")
-    return _primitive_base(a) != _primitive_base(b)
+    return _primitive_power(a)[0] != _primitive_power(b)[0]
 
 
 def stewart_survey(a: int, base: int, n_range: tuple[int, int]) -> Iterator[StewartRow]:
@@ -272,42 +276,6 @@ def _stewart_rows(a, base, start, end):
 # cyclotomic construction
 
 
-def mobius(d: int) -> int:
-    """Moebius function via factorization (d is small here)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    fact = factorize(d)
-    if any(e > 1 for _, e in fact.pairs):
-        return 0
-    return -1 if len(fact.pairs) % 2 else 1
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).pairs:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def cyclotomic_value(d: int, x: int = 2) -> int:
-    """Value of the d-th cyclotomic polynomial at integer x >= 2, computed
-    exactly as the Moebius product of (x**(d/e) - 1) factors."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    num = 1
-    den = 1
-    for e in _divisors(d):
-        mu = mobius(e)
-        if mu == 1:
-            num *= x ** (d // e) - 1
-        elif mu == -1:
-            den *= x ** (d // e) - 1
-    assert num % den == 0
-    return num // den
-
-
 @dataclass
 class CyclotomicReport:
     n: int
@@ -324,7 +292,8 @@ class CyclotomicReport:
 def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> CyclotomicReport:
     """Build 2**n + 1 as the product of cyclotomic values at 2 over the
     divisors d of 2n that do not divide n, verify the product exactly, and
-    factor the (much smaller) parts.
+    report `factorize(2**n + 1, factor_budget)`, which splits N into those
+    parts (and Aurifeuillian halves) before it factors them.
 
     min_c is the smallest exponent scale for which the smoothness check
     log P <= c * log N / logloglog N passes; None when N is too small for
@@ -335,17 +304,9 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
     N = 2**n + 1
     ds = [d for d in _divisors(2 * n) if n % d != 0]
     parts = tuple((d, cyclotomic_value(d, 2)) for d in ds)
-    product = math.prod(v for _, v in parts)
-    identity_ok = product == N
+    identity_ok = math.prod(v for _, v in parts) == N
 
-    merged: dict[int, int] = {}
-    cofactor = 1
-    for _, value in parts:
-        fact = factorize(value, factor_budget)
-        for p, e in fact.pairs:
-            merged[p] = merged.get(p, 0) + e
-        cofactor *= fact.cofactor
-    whole = Factorization(n=product, pairs=tuple(sorted(merged.items())), cofactor=cofactor)
+    whole = factorize(N, factor_budget)
     p_max = whole.summary()[0]
 
     min_c = None
@@ -362,7 +323,7 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
         identity_ok=identity_ok,
         complete=whole.complete,
         factors=whole.pairs,
-        cofactor=cofactor,
+        cofactor=whole.cofactor,
         P=p_max,
         min_c=min_c,
     )
@@ -432,7 +393,7 @@ def survey_record_dict(rec: SurveyRecord) -> dict:
     out = {
         "j": rec.j,
         "value": _json_int(rec.value),
-        "base": rec.base,
+        "base": _json_int(rec.base),
         "nz": rec.nz,
         "exponents": list(rec.exponents),
         "digits": list(rec.digits),

@@ -1,18 +1,21 @@
 """Arbitrary-precision factorization and factor-derived arithmetic.
 
-The factoring strategy is trial division by a fixed table of small primes,
-then repeated Brent-rho splitting with deterministic parameters.  Primality
-testing is Miller-Rabin: deterministic below 3.3e24 (classical 12-base
-certificate), and with a fixed 25-prime basis above that, so results are
-reproducible run to run.  Splitting effort is bounded by an explicit budget;
-when it runs out the unsplit composite is reported honestly as a cofactor
-instead of being guessed at.
+The factoring strategy is algebraic pre-splitting, then trial division by a
+fixed table of small primes, then repeated Brent-rho splitting with
+deterministic parameters.  An n = x**m - 1 or x**m + 1 (m >= 2) is first
+cut into its cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its
+two Aurifeuillian factors; each part then takes the same steps as any other
+input.  Primality testing is Miller-Rabin: deterministic below 3.3e24
+(classical 12-base certificate), and with a fixed 25-prime basis above that,
+so results are reproducible run to run.  Splitting effort is bounded by an
+explicit budget shared by all parts; when it runs out the unsplit composites
+are reported honestly as a cofactor instead of being guessed at.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, takewhile
 from typing import Optional
 
 from . import _fastfactor
@@ -25,6 +28,8 @@ __all__ = [
     "DEFAULT_BUDGET",
     "is_prime",
     "primes_up_to",
+    "mobius",
+    "cyclotomic_value",
     "factorize",
     "greatest_prime_factor",
     "omega",
@@ -231,6 +236,8 @@ DEFAULT_BUDGET = 200_000  # Brent-rho iterations per factorize() call
 
 def _int_nth_root(n: int, r: int) -> int:
     """Floor of the r-th root of n."""
+    if r == 2:
+        return math.isqrt(n)
     if n < 2:
         return n
     x = 1 << (-(-n.bit_length() // r))  # upper estimate
@@ -241,16 +248,70 @@ def _int_nth_root(n: int, r: int) -> int:
         x = y
 
 
+def _root_exponents(n: int):
+    """The primes r, ascending, for which n >= 2 can be a perfect r-th power.
+
+    If n = y**r, then r divides the exponent of each prime in n, so one
+    valuation gives the candidates: that of 2, read off the low bits, or
+    else that of the smallest trial prime dividing n.  When no trial prime
+    divides n, every prime factor of y is above 1000, so 1009**r <= n; the
+    candidates are then the trial divisors up to that bound, which past
+    1000 include odd composites.
+    """
+    v = (n & -n).bit_length() - 1
+    if v == 0:
+        for p in _SMALL_PRIMES[1:]:
+            if n % p == 0:
+                v = divide_out(n, p)[1]
+                break
+        else:
+            r_max = (n.bit_length() - 1) // 9  # 1009**r > 2**(9r)
+            return takewhile(lambda r: r <= r_max, _trial_divisors())
+    return [r for r, _ in _fastfactor.factor_small(v)]
+
+
 def _perfect_power(n: int):
-    """Return (root, exponent) with root**exponent == n and exponent > 1,
-    or None."""
-    for r in _SMALL_PRIMES:
-        if r > n.bit_length():
-            break
+    """Return (root, exponent) with root**exponent == n and exponent > 1
+    prime and as small as possible, or None."""
+    for r in _root_exponents(n):
         root = _int_nth_root(n, r)
         if root**r == n:
             return root, r
     return None
+
+
+def _primitive_power(n: int):
+    """(x, m) with x**m == n, m >= 1 and x not a perfect power."""
+    m = 1
+    while (power := _perfect_power(n)) is not None:
+        n, r = power
+        m *= r
+    return n, m
+
+
+def _algebraic_parts(n: int) -> list[int]:
+    """Factors > 1 of n, in ascending order of e, whose product is n.
+
+    For n = x**m - 1 they are the cyclotomic values Phi_e(x), e | m; for
+    n = x**m + 1, those with e | 2m and e not dividing m (m >= 2, x not a
+    perfect power).  For 2**m + 1 with m = 4k + 2, each part is split
+    further by its gcd with L = 2**(2k+1) - 2**(k+1) + 1, from the
+    Aurifeuillian identity 2**(4k+2) + 1 = L * M.  Any other n is [n].
+    """
+    for sign in (1, -1):
+        x, m = _primitive_power(n - sign)
+        if m >= 2:
+            break
+    else:
+        return [n]
+    orders = [e for e in _divisors(2 * m) if m % e] if sign == 1 else _divisors(m)
+    parts = [cyclotomic_value(e, x) for e in orders]
+    if x == 2 and sign == 1 and m % 4 == 2:
+        k = m // 4
+        aurifeuillian_l = 2 ** (2 * k + 1) - 2 ** (k + 1) + 1
+        gcds = [math.gcd(part, aurifeuillian_l) for part in parts]
+        parts = [q for part, g in zip(parts, gcds) for q in (g, part // g)]
+    return [part for part in parts if part > 1]
 
 
 def _brent_rho(n: int, max_iter: int):
@@ -293,8 +354,12 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     cofactor can take up to one round more: with budget 5000 the rho on
     (2**89 - 1) * (2**61 - 1) gives up after 8191 iterations.
 
-    Always returns: if the budget runs out, the remaining composite goes to
-    `cofactor` and `complete` is False.
+    An n = x**m +- 1 is first cut into its algebraic parts (see
+    `_algebraic_parts`); every part is then trial-divided and split like any
+    other input, all on the one budget.
+
+    Always returns: if the budget runs out, the product of the unsplit
+    composites goes to `cofactor` and `complete` is False.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -304,16 +369,19 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         pairs = _fastfactor.factor_small(n)
         return Factorization(n=n, pairs=tuple(pairs), cofactor=1)
 
-    original = n
     found: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            n, found[p] = divide_out(n, p)
+    stack = []
+    for part in reversed(_algebraic_parts(n)):  # smallest part popped first
+        for p in _SMALL_PRIMES:
+            if p * p > part:
+                break
+            if part % p == 0:
+                part, e = divide_out(part, p)
+                found[p] = found.get(p, 0) + e
+        if part > 1:
+            stack.append(part)
     remaining = budget
     failed = 1
-    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m < _fastfactor.FAST_LIMIT:
@@ -339,7 +407,47 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
             stack.append(d)
             stack.append(m // d)
     pairs = tuple(sorted(found.items()))
-    return Factorization(n=original, pairs=pairs, cofactor=failed)
+    return Factorization(n=n, pairs=pairs, cofactor=failed)
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic values
+
+
+def mobius(d: int) -> int:
+    """Moebius function via factorization (d is small here)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    fact = factorize(d)
+    if any(e > 1 for _, e in fact.pairs):
+        return 0
+    return -1 if len(fact.pairs) % 2 else 1
+
+
+def _divisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in factorize(n).pairs:
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def cyclotomic_value(d: int, x: int = 2) -> int:
+    """Value of the d-th cyclotomic polynomial at integer x >= 2, computed
+    exactly as the Moebius product of (x**(d/e) - 1) factors."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    num = 1
+    den = 1
+    for e in _divisors(d):
+        mu = mobius(e)
+        if mu == 1:
+            num *= x ** (d // e) - 1
+        elif mu == -1:
+            den *= x ** (d // e) - 1
+    assert num % den == 0
+    return num // den
 
 
 # ---------------------------------------------------------------------------

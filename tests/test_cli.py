@@ -194,6 +194,13 @@ class TestTrace:
         proc = run_cli("trace", str(2**60 + 2), "--base", str(2**60 + 1))
         assert "branch = lambda_a" in proc.stdout
 
+    def test_jsonl_base_above_2_53_is_a_string(self):
+        proc = run_cli(
+            "trace", str(2**60 + 2), "--base", str(2**60 + 1), "--format", "jsonl"
+        )
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["base"] == str(2**60 + 1)
+
 
 class TestBounds:
     def test_thm11(self):
@@ -328,6 +335,14 @@ class TestSurvey:
         assert isinstance(recs[5]["cor15"], float)
         assert all(r["thm11"] == "not applicable" for r in recs)
         assert "# window" in proc.stderr
+
+    def test_base_above_2_53_is_a_string(self):
+        proc = run_cli(
+            "survey", "sparse", "--base", str(2**60 + 1), "--k", "2", "--count", "2"
+        )
+        recs = [json.loads(l) for l in proc.stdout.splitlines()[1:]]
+        assert [r["value"] for r in recs] == [1, 2]
+        assert all(r["base"] == str(2**60 + 1) for r in recs)
 
     def test_byte_identical_reruns(self):
         args = ["survey", "sparse", "--base", "2", "--k", "3", "--count", "40"]

@@ -11,11 +11,13 @@ from smoothdigits.factor import (
     Factorization,
     IncompleteFactorizationError,
     PrimeSet,
+    cyclotomic_value,
     factorize,
     greatest_prime_factor,
     is_prime,
     is_s_unit,
     is_smooth,
+    mobius,
     omega,
     p_adic_valuation,
     primes_up_to,
@@ -109,6 +111,52 @@ class TestFactorize:
         # composite cofactor is a legitimate partial state
         partial = Factorization(n=30, pairs=((2, 1),), cofactor=15)
         assert not partial.complete
+
+
+class TestAlgebraicSplit:
+    """x**m +- 1 is cut into cyclotomic (and for 2**(4k+2) + 1 Aurifeuillian)
+    parts before rho; sympy is the independent oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.integers(min_value=2, max_value=12),
+        m=st.integers(min_value=1, max_value=80),
+        s=st.sampled_from([1, -1]),
+    )
+    def test_matches_sympy(self, x, m, s):
+        sympy = pytest.importorskip("sympy")
+        n = x**m + s
+        fact = factorize(n, budget=20_000)
+        assert fact.reconstruct() == n
+        if fact.complete:
+            # Primes that multiply out to n are sympy.factorint(n), by unique
+            # factorization; factorint itself takes up to a minute on these
+            # values (4**79 + 1), so it is called directly below 2**64 only.
+            assert all(sympy.isprime(p) for p in fact.prime_factors)
+            if n < 2**64:
+                assert list(fact.pairs) == sorted(sympy.factorint(n).items())
+        else:
+            assert fact.cofactor > 1 and not sympy.isprime(fact.cofactor)
+
+    @pytest.mark.parametrize("m", [110, 122, 129, 138, 142, 146])
+    def test_two_digit_values_complete(self, m):
+        # Partial at this budget without the algebraic split.
+        assert factorize(2**m + 1).complete
+
+    def test_cyclotomic_and_aurifeuillian_identities(self):
+        sympy = pytest.importorskip("sympy")
+        for k in range(41):
+            m = 4 * k + 2
+            divisors = sympy.divisors(2 * m)
+            for e in divisors:
+                assert mobius(e) == sympy.mobius(e)
+                assert cyclotomic_value(e, 2) == sympy.cyclotomic_poly(e, 2)
+            parts = [cyclotomic_value(e, 2) for e in divisors if m % e]
+            assert math.prod(parts) == 2**m + 1
+            low = 2 ** (2 * k + 1) - 2 ** (k + 1) + 1
+            high = 2 ** (2 * k + 1) + 2 ** (k + 1) + 1
+            assert low * high == 2**m + 1
+            assert math.gcd(low, high) == 1
 
 
 class TestFactorSmall:
