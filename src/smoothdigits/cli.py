@@ -5,6 +5,11 @@ and keeps diagnostics on stderr, so the data stream is always clean JSON
 lines (with a leading {"schema": 1} header record), CSV with a header row,
 or bare decimal lines for plain enumerations.
 
+Record builders hand `RecordWriter` plain Python values; the writer owns
+both output rules, in JSONL and CSV alike: an integer at or beyond 2**53,
+at any depth, is written as a decimal string, and a threshold field that
+is None is written as "not applicable".
+
 Exit status: 0 success, 2 usage or domain error, 3 success but some
 factorization hit its budget and results are partial.
 """
@@ -45,16 +50,37 @@ def _flatten_for_csv(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ";".join(
-            "^".join(str(x) for x in item) if isinstance(item, (list, tuple)) else str(item)
+            "^".join(str(x) for x in item) if isinstance(item, list) else str(item)
             for item in value
         )
     return value
 
 
+# Integers this large or larger go out as decimal strings, so that readers
+# holding JSON numbers as doubles (the I-JSON limit, RFC 7493) cannot round
+# them.
+_JSON_INT_LIMIT = 1 << 53
+
+# Top-level fields whose None means "not applicable".  Elsewhere None means
+# unknown (P of a partial factorization, *_exceeded, min_c) and stays null.
+_THRESHOLD_FIELDS = frozenset({"thm11", "thm13", "cor15", "value"})
+
+
+def _json_value(v):
+    if type(v) is int:  # not bool
+        return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {key: _json_value(x) for key, x in v.items()}
+    return v
+
+
 class RecordWriter:
-    """Emits dict records as JSON lines (with schema header) or CSV.
+    """Emits dict records as JSON lines (with schema header) or CSV, after
+    the two output rules of the module docstring.
 
     CSV columns are the keys of the first record, in its order."""
 
@@ -66,6 +92,10 @@ class RecordWriter:
             print(json.dumps({"schema": SCHEMA_VERSION}), file=stream)
 
     def write(self, record: dict):
+        record = {
+            key: "not applicable" if v is None and key in _THRESHOLD_FIELDS else _json_value(v)
+            for key, v in record.items()
+        }
         if self.fmt == "jsonl":
             print(json.dumps(record), file=self.stream)
         else:
@@ -183,7 +213,7 @@ def _cmd_enum(args) -> int:
         else:
             writer = RecordWriter(args.format, out)
             for j, v in enumerate(stream, start=1):
-                writer.write({"j": j, "value": xmod._json_int(v)})
+                writer.write({"j": j, "value": v})
     return EXIT_OK
 
 
@@ -195,31 +225,30 @@ def _cmd_factor(args) -> int:
             fact = factorize(n, args.budget)
             partial = partial or not fact.complete
             P, omega, Q = fact.summary()
-            record = {
-                "n": xmod._json_int(n),
-                "factors": xmod._json_pairs(fact.pairs),
-                "cofactor": xmod._json_int(fact.cofactor),
+            writer.write({
+                "n": n,
+                "factors": fact.pairs,
+                "cofactor": fact.cofactor,
                 "complete": fact.complete,
-                "P": None if P is None else xmod._json_int(P),
+                "P": P,
                 "omega": omega,
-                "Q": None if Q is None else xmod._json_int(Q),
-            }
-            writer.write(record)
+                "Q": Q,
+            })
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def _trace_dict(report) -> dict:
     lam = report.lambda_value
     return {
-        "N": xmod._json_int(report.N),
-        "base": xmod._json_int(report.base),
+        "N": report.N,
+        "base": report.base,
         "branch": report.branch,
         "k": report.k,
         "k_star": report.k_star,
         "ell": report.ell,
-        "p": None if report.p is None else xmod._json_int(report.p),
-        "lambda_num": xmod._json_int(lam.numerator),
-        "lambda_den": xmod._json_int(lam.denominator),
+        "p": report.p,
+        "lambda_num": lam.numerator,
+        "lambda_den": lam.denominator,
         "valuation": report.valuation,
         "size_condition": report.size_condition_met,
         "rows": [
@@ -315,18 +344,7 @@ def _bounds_record(args) -> dict:
         }
     if op == "cor14":
         rows = bmod.cor14_check(args.n, args.nz)
-        return {
-            "op": op,
-            "rows": [
-                {
-                    "smooth_bound": r.smooth_bound,
-                    "digit_bound": r.digit_bound,
-                    "applicable": r.applicable,
-                    "violated": r.violated,
-                }
-                for r in rows
-            ],
-        }
+        return {"op": op, "rows": [vars(r) for r in rows]}
     if op == "cor15":
         return {"op": op, "value": bmod.cor15_threshold(args.n, args.eps)}
     if op == "thm41":
@@ -346,9 +364,6 @@ def _cmd_bounds(args) -> int:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"bounds {args.op} needs {flag}")
     record = _bounds_record(args)
-    for key, value in record.items():
-        if value is None:
-            record[key] = "not applicable"
     with _output(args.output) as out:
         writer = RecordWriter(args.format, out)
         writer.write(record)
@@ -401,7 +416,7 @@ def _cmd_cyclo(args) -> int:
     with _output(args.output) as out:
         if args.format in ("jsonl", "csv"):
             writer = RecordWriter(args.format, out)
-            writer.write(xmod.cyclotomic_report_dict(report))
+            writer.write(vars(report))
         else:
             print(f"N = 2^{args.n} + 1 = {report.N}", file=out)
             for d, value in report.parts:

@@ -371,69 +371,27 @@ def smooth_sparse_search(
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _json_int(v: int):
-    """Integers beyond 2**53 go out as decimal strings so JSON consumers
-    with double-precision parsers cannot corrupt them."""
-    return v if abs(v) < (1 << 53) else str(v)
-
-
-def _json_threshold(v):
-    """Threshold fields are a number or the literal "not applicable"."""
-    return "not applicable" if v is None else v
-
-
-def _json_pairs(pairs):
-    return [[_json_int(p), e] for p, e in pairs]
+# record field maps
+#
+# The CLI writes records through these names, and perfbench/tracer.py wraps
+# them by name to time the write layer; cli.RecordWriter applies the JSON
+# rules.
 
 
 def survey_record_dict(rec: SurveyRecord) -> dict:
-    out = {
-        "j": rec.j,
-        "value": _json_int(rec.value),
-        "base": _json_int(rec.base),
-        "nz": rec.nz,
-        "exponents": list(rec.exponents),
-        "digits": list(rec.digits),
-        "complete": rec.complete,
-        "factors": _json_pairs(rec.factors),
-        "cofactor": _json_int(rec.cofactor),
-        "P": None if rec.P is None else _json_int(rec.P),
-        "omega": rec.omega,
-        "Q": None if rec.Q is None else _json_int(rec.Q),
-    }
-    for key, val in rec.thresholds.items():
-        out[key] = val if key.endswith("_exceeded") else _json_threshold(val)
-    out["trace_branch"] = rec.trace_branch
-    out["trace_rows_ok"] = rec.trace_rows_ok
-    out["trace_size_condition"] = rec.trace_size_condition
+    """The record's fields in order, with `thresholds` spliced in place."""
+    out = {}
+    for key, val in vars(rec).items():
+        if key == "thresholds":
+            out.update(val)
+        else:
+            out[key] = val
     return out
 
 
 def stewart_row_dict(row: StewartRow) -> dict:
-    return {"n": row.n, "nz": row.nz, "bound": row.bound, "exceeds": row.exceeds}
-
-
-def cyclotomic_report_dict(rep: CyclotomicReport) -> dict:
-    return {
-        "n": rep.n,
-        "N": _json_int(rep.N),
-        "parts": [[d, _json_int(v)] for d, v in rep.parts],
-        "identity_ok": rep.identity_ok,
-        "complete": rep.complete,
-        "factors": _json_pairs(rep.factors),
-        "cofactor": _json_int(rep.cofactor),
-        "P": None if rep.P is None else _json_int(rep.P),
-        "min_c": rep.min_c,
-    }
+    return dict(vars(row))
 
 
 def search_hit_dict(hit: SearchHit) -> dict:
-    return {
-        "value": _json_int(hit.value),
-        "nz": hit.nz,
-        "cor15": _json_threshold(hit.cor15),
-        "cor15_exceeded": hit.cor15_exceeded,
-    }
+    return dict(vars(hit))

@@ -115,7 +115,11 @@ def is_prime(n: int) -> bool:
 
 
 def smallest_prime_factor(b: int) -> int:
-    """Least prime dividing b (b >= 2)."""
+    """Least prime dividing b (b >= 2).
+
+    After the primes below 1000 the answer is the least prime of
+    `factorize(b)`; trial division, which takes up to sqrt(b) steps, goes
+    on past them only when factorize leaves a cofactor."""
     if b < 2:
         raise ValueError(f"need b >= 2, got {b}")
     for d in _trial_divisors():
@@ -123,6 +127,10 @@ def smallest_prime_factor(b: int) -> int:
             return b
         if b % d == 0:
             return d
+        if d == _SMALL_PRIMES[-1]:
+            fact = factorize(b)
+            if fact.complete:
+                return fact.pairs[0][0]
 
 
 # ---------------------------------------------------------------------------

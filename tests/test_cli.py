@@ -11,9 +11,9 @@ from smoothdigits.cli import main
 RUN = [sys.executable, "-m", "smoothdigits"]
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=300):
     proc = subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=300
+        RUN + list(args), capture_output=True, text=True, timeout=timeout
     )
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
@@ -201,6 +201,19 @@ class TestTrace:
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["base"] == str(2**60 + 1)
 
+    def test_base_without_small_prime_factor(self):
+        # N = 1 + 2B^2 + B^3 for the prime B = 2^61 - 1: the p-adic branch
+        # needs the least prime of B; trial division to sqrt(B) would take
+        # ~1e9 steps, hence the timeout
+        B = 2**61 - 1
+        proc = run_cli(
+            "trace", str(1 + 2 * B**2 + B**3), "--base", str(B), "--format", "jsonl",
+            timeout=30,
+        )
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["branch"] == "lambda_u"
+        assert rec["p"] == str(B)
+
 
 class TestBounds:
     def test_thm11(self):
@@ -212,6 +225,8 @@ class TestBounds:
         proc = run_cli("bounds", "thm11", "--u", "1e6", "--k", "3")
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["value"] == "not applicable"
+        proc = run_cli("bounds", "thm11", "--u", "1e6", "--k", "3", "--format", "csv")
+        assert proc.stdout.splitlines() == ["op,value", "thm11,not applicable"]
 
     def test_matveev(self):
         proc = run_cli(
@@ -247,6 +262,13 @@ class TestBounds:
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["value"] > 0
 
+    def test_nkbound_base_without_small_prime_factor(self):
+        proc = run_cli(
+            "bounds", "nkbound", "--base", str(2**61 - 1), "--k", "3", "--primes", "3",
+            timeout=30,
+        )
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["value"] > 0
 
     def test_remark45_c_zero_rejected(self, tmp_path):
         run_rejected(
@@ -358,6 +380,10 @@ class TestSurvey:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert [r["value"] for r in rows] == ["1", "3", "5", "9"]
         assert rows[1]["trace_branch"] == "lambda_a"
+        # a threshold that does not apply is named; an unknown comparison is empty
+        assert [r["thm11"] for r in rows] == ["not applicable"] * 4
+        assert [r["cor15"] for r in rows] == ["not applicable"] * 4
+        assert [r["thm11_exceeded"] for r in rows] == [""] * 4
         assert proc.stdout.splitlines()[0] == (
             "j,value,base,nz,exponents,digits,complete,factors,cofactor,P,omega,Q,"
             "thm11,thm11_exceeded,cor15,cor15_exceeded,"
@@ -486,6 +512,50 @@ class TestSearch:
             "search", "--base", "2", "--k", "2", "--primes", "3", "--limit", "100"
         )
         assert header == "value,nz,cor15,cor15_exceeded"
+
+    def test_csv_not_applicable(self):
+        proc = run_cli(
+            "search", "--base", "2", "--k", "2", "--primes", "3",
+            "--limit", "1000000", "--format", "csv",
+        )
+        assert proc.stdout.splitlines() == [
+            "value,nz,cor15,cor15_exceeded",
+            "1,1,not applicable,",
+            "3,2,not applicable,",
+            "9,2,not applicable,",
+        ]
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        return [x for v in value for x in _leaves(v)]
+    if isinstance(value, dict):
+        return _leaves(list(value.values()))
+    return [value]
+
+
+# Commands whose records carry integers at or beyond 2**53, at the top
+# level and nested: factor pairs, cyclotomic parts, trace fields.
+LARGE_INTEGER_COMMANDS = [
+    ("factor", str(2**128 + 1)),
+    ("--budget", "10", "factor", "1208925819614629174706189"),
+    ("trace", str(2**60 + 2), "--base", str(2**60 + 1), "--format", "jsonl"),
+    ("cyclo", "--n", "64", "--format", "jsonl"),
+    ("enum", "--base", "2", "--k", "2", "--take", "200", "--format", "jsonl"),
+    ("survey", "sparse", "--base", str(2**60 + 1), "--k", "2", "--count", "3"),
+    ("bounds", "yu", "--rationals", "2,3", "--exponents", "5,-3", "--heights", "e,3",
+     "--bigb", "5", "--p", str(2**61 - 1)),
+]
+
+
+@pytest.mark.parametrize("args", LARGE_INTEGER_COMMANDS, ids=lambda a: " ".join(a)[:30])
+def test_integers_beyond_2_53_are_strings(args):
+    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (0, 3), proc.stderr
+    leaves = _leaves([json.loads(line) for line in proc.stdout.splitlines()])
+    raw = [v for v in leaves if type(v) is int and abs(v) >= 2**53]
+    assert raw == []
+    assert any(isinstance(v, str) and v.isdigit() and int(v) >= 2**53 for v in leaves)
 
 
 class TestMainFunction:

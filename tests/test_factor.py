@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +297,18 @@ class TestSmallestPrimeFactor:
         assert smallest_prime_factor(15) == 3
         assert smallest_prime_factor(91) == 7
         assert smallest_prime_factor(97) == 97
+
+    def test_no_prime_factor_below_1000(self):
+        # trial division alone takes up to ~1e9 steps on these, hence a
+        # process of its own with a time limit
+        code = (
+            "from smoothdigits.factor import smallest_prime_factor as spf; "
+            "print(spf(2**61 - 1), spf((2**61 - 1) * (2**31 - 1)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert proc.stdout.split() == [str(2**61 - 1), str(2**31 - 1)]
 
 
 class TestTrialDivision:
