@@ -65,6 +65,8 @@ _JSON_INT_LIMIT = 1 << 53
 
 # Top-level fields whose None means "not applicable".  Elsewhere None means
 # unknown (P of a partial factorization, *_exceeded, min_c) and stays null.
+# "value" is a threshold only in bounds records; the enum, survey and search
+# records carry their integer term there and never leave it None.
 _THRESHOLD_FIELDS = frozenset({"thm11", "thm13", "cor15", "value"})
 
 

@@ -390,8 +390,8 @@ def survey_record_dict(rec: SurveyRecord) -> dict:
 
 
 def stewart_row_dict(row: StewartRow) -> dict:
-    return dict(vars(row))
+    return vars(row)
 
 
 def search_hit_dict(hit: SearchHit) -> dict:
-    return dict(vars(hit))
+    return vars(hit)

@@ -114,25 +114,6 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, _MR_FALLBACK_BASES)
 
 
-def smallest_prime_factor(b: int) -> int:
-    """Least prime dividing b (b >= 2).
-
-    After the primes below 1000 the answer is the least prime of
-    `factorize(b)`; trial division, which takes up to sqrt(b) steps, goes
-    on past them only when factorize leaves a cofactor."""
-    if b < 2:
-        raise ValueError(f"need b >= 2, got {b}")
-    for d in _trial_divisors():
-        if d * d > b:
-            return b
-        if b % d == 0:
-            return d
-        if d == _SMALL_PRIMES[-1]:
-            fact = factorize(b)
-            if fact.complete:
-                return fact.pairs[0][0]
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -466,6 +447,16 @@ def _complete_summary(n: int, budget: int):
     fact = factorize(n, budget)
     fact.require_complete()
     return fact.summary()
+
+
+def smallest_prime_factor(b: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Least prime dividing b (b >= 2); raises IncompleteFactorizationError
+    when factorize(b, budget) leaves a composite cofactor."""
+    if b < 2:
+        raise ValueError(f"need b >= 2, got {b}")
+    fact = factorize(b, budget)
+    fact.require_complete()
+    return fact.pairs[0][0]
 
 
 def greatest_prime_factor(n: int, budget: int = DEFAULT_BUDGET) -> int:

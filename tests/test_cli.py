@@ -270,6 +270,14 @@ class TestBounds:
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["value"] > 0
 
+    def test_nkbound_base_factorize_leaves_partial(self, tmp_path):
+        # two primes near 2^50: the least one is not found within the
+        # default rho budget, which is a domain error, not a hang
+        run_rejected(
+            tmp_path, "bounds", "nkbound", "--base", str(1125899906842679 * 2251799813685269),
+            "--k", "3", "--primes", "3",
+        )
+
     def test_remark45_c_zero_rejected(self, tmp_path):
         run_rejected(
             tmp_path, "bounds", "remark45", "--n", "4097", "--p-factor", "241", "--c", "0"

@@ -299,21 +299,29 @@ class TestSmallestPrimeFactor:
         assert smallest_prime_factor(97) == 97
 
     def test_no_prime_factor_below_1000(self):
-        # trial division alone takes up to ~1e9 steps on these, hence a
-        # process of its own with a time limit
+        # the least prime comes from factorize, and a base that factorize
+        # leaves partial (two primes near 2^50 outlast the default rho
+        # budget) is an error; trial division to sqrt(b) would take 1e9
+        # steps or more, hence a process of its own with a time limit
         code = (
-            "from smoothdigits.factor import smallest_prime_factor as spf; "
-            "print(spf(2**61 - 1), spf((2**61 - 1) * (2**31 - 1)))"
+            "from smoothdigits.factor import IncompleteFactorizationError, "
+            "smallest_prime_factor as spf\n"
+            "print(spf(2**61 - 1), spf((2**61 - 1) * (2**31 - 1)))\n"
+            "try:\n"
+            "    spf(1125899906842679 * 2251799813685269)\n"
+            "except IncompleteFactorizationError:\n"
+            "    print('partial')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
         )
-        assert proc.stdout.split() == [str(2**61 - 1), str(2**31 - 1)]
+        assert proc.stdout.split() == [str(2**61 - 1), str(2**31 - 1), "partial"]
 
 
 class TestTrialDivision:
-    """is_smooth and smallest_prime_factor walk one trial-divisor order: the
-    primes below 1000, then odd numbers.  Both against sympy."""
+    """is_smooth walks one trial-divisor order: the primes below 1000, then
+    odd numbers.  It and smallest_prime_factor, the least prime of
+    factorize, are checked against sympy on the same numbers."""
 
     NUMBERS = st.one_of(
         st.integers(min_value=1, max_value=2**40 - 1),
