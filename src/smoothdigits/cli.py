@@ -11,7 +11,8 @@ at any depth, is written as a decimal string, and a threshold field that
 is None is written as "not applicable".
 
 Exit status: 0 success, 2 usage or domain error, 3 success but some
-factorization hit its budget and results are partial.
+factorization hit its budget and results are partial, 141 the reader closed
+stdout before all data was written (as `| head` does; no traceback).
 """
 
 import argparse
@@ -19,6 +20,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -39,6 +41,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +443,12 @@ def _cmd_search(args) -> int:
     hits = xmod.smooth_sparse_search(
         args.base, args.k, _parse_int_list(args.primes), args.limit, eps=args.eps
     )
+    count = 0
     with _output(args.output) as out:
         writer = RecordWriter(args.format, out)
-        for hit in hits:
+        for count, hit in enumerate(hits, start=1):
             writer.write(xmod.search_hit_dict(hit))
-    print(f"# {len(hits)} hit(s)", file=sys.stderr)
+    print(f"# {count} hit(s)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -574,10 +578,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
     except (ValueError, IncompleteFactorizationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  Python flushes stdout
+        # again at exit; point it at devnull so that flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

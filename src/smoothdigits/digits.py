@@ -9,12 +9,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from typing import Iterator, Optional
+
+import numpy as np
 
 __all__ = [
     "DigitExpansion",
     "decompose",
     "recompose",
     "nz_count",
+    "power_nz_counts",
     "block_count",
     "condition_3_2",
 ]
@@ -103,23 +107,29 @@ def recompose(e: DigitExpansion) -> int:
     return value * e.base**prev
 
 
-def nz_count(n: int, base: int) -> int:
-    """Number of nonzero digits of n in base `base`."""
+def nz_count(n: int, base: int, bound: Optional[float] = None) -> int:
+    """Number of nonzero digits of n in base `base`.
+
+    With a bound, counting stops once the count passes it: the result is
+    exact when the true count is at most `bound`, and otherwise some value
+    above `bound`."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if base == 2:
         return n.bit_count()
+    if bound is None:
+        bound = math.inf
     if base <= _CHUNK_LIMIT:
         size, table = _nz_chunk_table(base)
         count = 0
-        while n:
+        while n and count <= bound:
             n, chunk = divmod(n, size)
             count += table[chunk]
         return count
     count = 0
-    while n:
+    while n and count <= bound:
         n, d = divmod(n, base)
         if d:
             count += 1
@@ -141,6 +151,49 @@ def _nz_chunk_table(base: int) -> tuple[int, tuple[int, ...]]:
     for c in range(1, size):
         table.append(table[c // base] + (c % base != 0))
     return size, tuple(table)
+
+
+def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
+    """nz_count(a**n, base) for n = start, start + 1, ... without end.
+
+    a**n is kept as a numpy array of limbs in base size = base**w, and each
+    step multiplies the array by a in place, with carries, so a step costs
+    time linear in the length of a**n.  A base up to _CHUNK_LIMIT takes the
+    chunk size and table of nz_count; a larger base is its own limb (w = 1),
+    where a nonzero limb is one nonzero digit.  Limbs are int64 when
+    a * size fits in 63 bits and Python ints otherwise.
+    """
+    if base <= _CHUNK_LIMIT:
+        size, table = _nz_chunk_table(base)
+        table = np.array(table, dtype=np.uint8)
+        count = lambda v: int(table[v.astype(np.int64, copy=False)].sum())
+    else:
+        size = base
+        count = lambda v: int(np.count_nonzero(v))
+    dtype = np.int64 if a * size < 1 << 63 else object
+    per_limb = size.bit_length() - 1  # size >= 2**per_limb
+    grow = a.bit_length() // per_limb + 1  # limbs one multiplication can add
+    power = a**start
+    limbs = np.zeros(power.bit_length() // per_limb + 1 + grow, dtype=dtype)
+    used = 0
+    while power:
+        power, limbs[used] = divmod(power, size)
+        used += 1
+    while True:
+        yield count(limbs[:used])
+        if used + grow > len(limbs):
+            limbs = np.concatenate([limbs, np.zeros_like(limbs)])
+        v = limbs[: used + grow]
+        v *= a
+        while True:
+            high = v // size
+            if not high.any():
+                break
+            v %= size
+            v[1:] += high[:-1]  # the top limb of v stays below size
+        used += grow
+        while not limbs[used - 1]:
+            used -= 1
 
 
 def block_count(n: int, base: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator, Optional
 
-from .digits import decompose, nz_count
+from .digits import decompose, nz_count, power_nz_counts
 from .factor import (
     DEFAULT_BUDGET,
     PrimeSet,
@@ -264,12 +264,9 @@ def stewart_survey(a: int, base: int, n_range: tuple[int, int]) -> Iterator[Stew
 
 
 def _stewart_rows(a, base, start, end):
-    power = a**start
-    for n in range(start, end + 1):
-        nz = nz_count(power, base)
+    for n, nz in zip(range(start, end + 1), power_nz_counts(a, base, start)):
         bound = math.log(n) / (2.0 * math.log(math.log(n)))
         yield StewartRow(n=n, nz=nz, bound=bound, exceeds=nz > bound)
-        power *= a
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +340,33 @@ class SearchHit:
 
 def smooth_sparse_search(
     base: int, k: int, primes, limit: int, *, eps: float = 0.0
-) -> list[SearchHit]:
+) -> Iterator[SearchHit]:
     """All integers <= limit supported on the given primes, not divisible by
-    `base`, with at most k nonzero digits.  An empty result is meaningful:
-    such integers are expected to be scarce."""
+    `base`, with at most k nonzero digits, in increasing order.  An empty
+    result is meaningful: such integers are expected to be scarce.
+    Arguments are validated eagerly; hits are then found one at a time."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    prime_set = _as_prime_set(primes)
-    hits = []
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    return _search_hits(base, k, _as_prime_set(primes), limit, eps)
+
+
+def _search_hits(base, k, prime_set, limit, eps):
     for v in smooth_sequence(prime_set, limit):
         if v % base == 0:
             continue
-        nz = nz_count(v, base)
+        nz = nz_count(v, base, k)
         if nz <= k:
             threshold = cor15_threshold(v, eps)
-            hits.append(
-                SearchHit(
-                    value=v,
-                    nz=nz,
-                    cor15=threshold,
-                    cor15_exceeded=None if threshold is None else bool(nz > threshold),
-                )
+            yield SearchHit(
+                value=v,
+                nz=nz,
+                cor15=threshold,
+                cor15_exceeded=None if threshold is None else bool(nz > threshold),
             )
-    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,11 @@ def _algebraic_parts(n: int) -> list[int]:
 
 
 def _brent_rho(n: int, max_iter: int):
-    """Deterministic Brent rho.  Returns (nontrivial factor or None, used)."""
+    """Deterministic Brent rho.  Returns (nontrivial factor or None, used).
+
+    `used` counts the comparisons made, in gcd blocks of at most 128; the
+    budget is checked before each block and each backtracking step, so
+    `used` never exceeds `max_iter`."""
     used = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
@@ -315,19 +319,22 @@ def _brent_rho(n: int, max_iter: int):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                if used == max_iter:
+                    return None, used
                 ys = y
-                for _ in range(min(128, r - k)):
+                block = min(128, r - k, max_iter - used)
+                for _ in range(block):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
-                k += 128
-            used += r
-            if used > max_iter and g == 1:
-                return None, used
+                k += block
+                used += block
             r *= 2
         if g == n:
             g = 1
             while g == 1:
+                if used == max_iter:
+                    return None, used
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
                 used += 1
@@ -337,11 +344,7 @@ def _brent_rho(n: int, max_iter: int):
 
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n, spending about `budget` rho iterations on hard cofactors.
-
-    The budget is checked after each doubling round of Brent's method, so a
-    cofactor can take up to one round more: with budget 5000 the rho on
-    (2**89 - 1) * (2**61 - 1) gives up after 8191 iterations.
+    """Factor n, spending at most `budget` rho iterations on hard cofactors.
 
     An n = x**m +- 1 is first cut into its algebraic parts (see
     `_algebraic_parts`); every part is then trial-divided and split like any

@@ -200,7 +200,7 @@ def _sparse_gen(base, budget, max_value):
             if max_value is not None and v > max_value:
                 return
             allowed = budget(v)
-            if allowed >= cap or nz_count(v, base) <= allowed:
+            if allowed >= cap or nz_count(v, base, allowed) <= allowed:
                 yield v
         m += 1
 
@@ -279,13 +279,17 @@ def smooth_sequence(primes, limit: int) -> Iterator[int]:
 def _smooth_gen(ps, limit):
     if limit < 1:
         return
-    # (value, index of the largest prime used): multiplying only by primes
-    # at or after that index builds each smooth number exactly once.
-    heap = [(1, 0)]
+    # Keys v*r + i order by v first: v is a product and i, the index of the
+    # largest prime used, is below r.  Multiplying only by primes at or
+    # after i builds each smooth number exactly once, and the primes
+    # increase, so the first product above the limit ends the successors.
+    r = len(ps)
+    heap = [r]  # v = 1, i = 0
     while heap:
-        v, i = heappop(heap)
+        v, i = divmod(heappop(heap), r)
         yield v
-        for j in range(i, len(ps)):
+        for j in range(i, r):
             nv = v * ps[j]
-            if nv <= limit:
-                heappush(heap, (nv, j))
+            if nv > limit:
+                break
+            heappush(heap, nv * r + j)

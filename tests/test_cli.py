@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from smoothdigits.cli import main
+from smoothdigits.cli import EXIT_CLOSED_PIPE, main
 
 RUN = [sys.executable, "-m", "smoothdigits"]
 
@@ -497,6 +497,34 @@ class TestCyclo:
 
 
 class TestSearch:
+    def test_first_hit_written_before_the_stream_ends(self, monkeypatch):
+        from smoothdigits import experiments
+
+        seen = []
+        real = experiments.smooth_sequence
+
+        def counting(primes, limit):
+            for v in real(primes, limit):
+                seen.append(v)
+                yield v
+
+        class Stdout(io.StringIO):
+            at_first_hit = None
+
+            def write(self, text):
+                if self.at_first_hit is None and text.startswith('{"value"'):
+                    self.at_first_hit = len(seen)
+                return super().write(text)
+
+        out = Stdout()
+        monkeypatch.setattr(experiments, "smooth_sequence", counting)
+        monkeypatch.setattr(sys, "stdout", out)
+        status = main(["search", "--base", "3", "--k", "4", "--primes", "2,5,7",
+                       "--limit", "1e12"])
+        assert status == 0
+        assert out.at_first_hit == 1  # the hit 1 goes out before 2 is drawn
+        assert len(seen) == len(list(real([2, 5, 7], 10**12)))
+
     def test_binary_powers_of_three(self):
         proc = run_cli(
             "search", "--base", "2", "--k", "2", "--primes", "3",
@@ -514,6 +542,12 @@ class TestSearch:
         for line in proc.stdout.splitlines():
             json.loads(line)  # every stdout line parses
         assert "hit(s)" in proc.stderr
+
+    @pytest.mark.parametrize("limit", ["0", "1000"])
+    def test_negative_eps_rejected(self, limit, tmp_path):
+        # also when no value up to the limit is a hit
+        run_rejected(tmp_path, "search", "--base", "2", "--k", "2", "--primes", "3",
+                     "--limit", limit, "--eps", "-0.1")
 
     def test_csv_header(self):
         header = csv_header(
@@ -564,6 +598,26 @@ def test_integers_beyond_2_53_are_strings(args):
     raw = [v for v in leaves if type(v) is int and abs(v) >= 2**53]
     assert raw == []
     assert any(isinstance(v, str) and v.isdigit() and int(v) >= 2**53 for v in leaves)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("survey", "sparse", "--base", "10", "--k", "3", "--count", "20000"),
+        ("enum", "--base", "2", "--k", "2", "--take", "100000"),
+        ("search", "--base", "3", "--k", "4", "--primes", "2,5,7,11,13", "--limit", "1e30"),
+    ],
+)
+def test_closed_pipe(args):
+    # the reader takes one line and goes away, as `| head -n 1` does
+    proc = subprocess.Popen(RUN + list(args), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    status = proc.wait(timeout=300)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert status == EXIT_CLOSED_PIPE
 
 
 class TestMainFunction:

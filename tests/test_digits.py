@@ -91,6 +91,21 @@ def test_nz_count_matches_expansion_any_base(n, base):
     assert nz_count(n, base) == decompose(n, base).k
 
 
+@given(
+    n=st.integers(min_value=1, max_value=2**256),
+    base=st.sampled_from([2, 3, 10, 2**16, 2**16 + 1]),
+    bound=st.integers(min_value=0, max_value=40),
+)
+def test_bounded_nz_count(n, base, bound):
+    # exact up to the bound, and past it only known to be past it
+    full = nz_count(n, base)
+    got = nz_count(n, base, bound)
+    if full <= bound:
+        assert got == full
+    else:
+        assert got > bound
+
+
 class TestNzCount:
     def test_examples(self):
         assert nz_count(1024, 2) == 1

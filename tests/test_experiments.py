@@ -124,6 +124,39 @@ class TestStewart:
         for row in stewart_survey(2, 3, (3, 40)):
             assert row.nz == nz_count(2**row.n, 3)
 
+    @pytest.mark.parametrize(
+        "a, base, start, end",
+        [
+            (2, 3, 3, 3000),
+            (3, 2, 3, 600),
+            (2, 10, 3, 600),
+            (2, 65537, 3, 600),  # above the chunk tables: one limb per digit
+            (2, 10**12, 3, 600),
+            (2**62 + 1, 3, 3, 200),  # a * 3**10 overflows int64: Python-int limbs
+            (2, 3, 57, 600),
+            (5, 2**16, 100, 400),
+        ],
+    )
+    def test_rows_equal_nz_count_of_the_power(self, a, base, start, end):
+        rows = list(stewart_survey(a, base, (start, end)))
+        assert [r.n for r in rows] == list(range(start, end + 1))
+        assert [r.nz for r in rows] == [nz_count(a**n, base) for n in range(start, end + 1)]
+
+    def test_large_base_builds_no_chunk_table(self, monkeypatch):
+        from smoothdigits import digits
+
+        bases = []
+        real = digits._nz_chunk_table
+
+        def recording(base):
+            bases.append(base)
+            return real(base)
+
+        monkeypatch.setattr(digits, "_nz_chunk_table", recording)
+        list(stewart_survey(2, 2**16 + 1, (3, 50)))
+        list(stewart_survey(2, 10**12, (3, 50)))
+        assert bases == []
+
     def test_independence_check(self):
         assert multiplicatively_independent(2, 3)
         assert not multiplicatively_independent(4, 8)
@@ -202,6 +235,16 @@ class TestSmoothSparseSearch:
             assert is_s_unit(h.value, s)
             assert nz_count(h.value, 10) <= 2
             assert h.value % 10 != 0
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((1, 2, [3], 10), {}), ((2, 0, [3], 10), {}), ((2, 2, [4], 10), {}),
+         ((2, 2, [3], 10), {"eps": -0.1})],
+    )
+    def test_rejected_when_called(self, args, kwargs):
+        # before the first hit is requested, so the CLI writes nothing
+        with pytest.raises(ValueError):
+            smooth_sparse_search(*args, **kwargs)
 
     def test_scarcity(self):
         hits = smooth_sparse_search(2, 2, [11], 10**4)

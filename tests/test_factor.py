@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from smoothdigits import _fastfactor
 from smoothdigits.factor import (
     Factorization,
+    _brent_rho,
     IncompleteFactorizationError,
     PrimeSet,
     cyclotomic_value,
@@ -94,6 +95,24 @@ class TestFactorize:
         assert fact.reconstruct() == n
         with pytest.raises(IncompleteFactorizationError):
             fact.require_complete()
+
+    def test_rho_budget_is_exact(self):
+        # The budget used to be checked once per doubling round: this rho
+        # gave up after 8191 iterations.
+        d, used = _brent_rho((2**89 - 1) * (2**61 - 1), 5000)
+        assert d is None
+        assert used <= 5000
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=2**40, max_value=2**96).filter(lambda n: not is_prime(n)),
+        budget=st.integers(min_value=0, max_value=3000),
+    )
+    def test_rho_never_exceeds_budget(self, n, budget):
+        d, used = _brent_rho(n, budget)
+        assert used <= budget
+        if d is not None:
+            assert 1 < d < n and n % d == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=2**96))

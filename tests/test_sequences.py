@@ -107,9 +107,9 @@ class TestSparseSequenceF:
     def test_fixed_k_never_counts_digits(self, monkeypatch):
         calls = []
 
-        def counting(n, base):
+        def counting(n, base, *bound):
             calls.append(n)
-            return nz_count(n, base)
+            return nz_count(n, base, *bound)
 
         monkeypatch.setattr(sequences, "nz_count", counting)
         take(sparse_sequence(10, 3), 2000)
@@ -201,6 +201,21 @@ class TestSmoothSequence:
 
     def test_odd_primes(self):
         assert list(smooth_sequence([3, 5], 15)) == [1, 3, 5, 9, 15]
+
+    @pytest.mark.parametrize("primes", [[2], [3, 7], [2, 3, 5], [5, 7, 11, 13]])
+    @pytest.mark.parametrize("limit", [0, 1, 10**6])
+    def test_equals_all_products(self, primes, limit):
+        # every product of prime powers up to the limit, built without a heap
+        products = {1}
+        for p in primes:
+            products |= {
+                v * p**e
+                for v in products
+                for e in range(1, limit.bit_length() + 1)
+                if v * p**e <= limit
+            }
+        expected = sorted(v for v in products if v <= limit)
+        assert list(smooth_sequence(primes, limit)) == expected
 
     def test_brute_force_agreement(self):
         s = PrimeSet((2, 3, 5))
