@@ -605,11 +605,13 @@ def test_integers_beyond_2_53_are_strings(args):
     [
         ("survey", "sparse", "--base", "10", "--k", "3", "--count", "20000"),
         ("enum", "--base", "2", "--k", "2", "--take", "100000"),
-        ("search", "--base", "3", "--k", "4", "--primes", "2,5,7,11,13", "--limit", "1e30"),
+        ("search", "--base", "10", "--k", "30", "--primes", "2,3,5,7", "--limit", "1e20"),
     ],
 )
 def test_closed_pipe(args):
-    # the reader takes one line and goes away, as `| head -n 1` does
+    # The reader takes one line and goes away, as `| head -n 1` does.  Each
+    # command has megabytes left to write by then, far more than a pipe
+    # holds, so its next write meets the closed pipe.
     proc = subprocess.Popen(RUN + list(args), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
