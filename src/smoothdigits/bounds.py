@@ -18,6 +18,7 @@ Conventions used throughout:
   step; nothing is hard-coded from the literature.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,7 +169,7 @@ class BoundInput:
             if not math.isfinite(a):
                 raise ValueError("heights must be finite")
             least = max(abs(z.numerator), abs(z.denominator))
-            if Fraction(a) < least or a < E:
+            if a < least or a < E:
                 raise ValueError(
                     f"height {a} below max(|x|, |y|, e) for rational {z}"
                 )
@@ -204,20 +205,22 @@ class BoundInput:
         return out
 
 
-def _matveev_head(n: int) -> list[float]:
+@functools.cache
+def _matveev_head(n: int) -> tuple[float, ...]:
     """Matveev's constant factors 8, 30**(n+3), n**(9/2), rounded up."""
-    return [8.0, _up(30.0 ** (n + 3)), _up(float(n) ** 4.5)]
+    return (8.0, _up(30.0 ** (n + 3)), _up(float(n) ** 4.5))
 
 
-def _yu_head(n: int, p: int) -> list[float]:
+@functools.cache
+def _yu_head(n: int, p: int) -> tuple[float, ...]:
     """Yu's constant factors (16e)**(2(n+1)), n**(5/2), (log 2n)**2, p/(log p)**2."""
     lp = _down(math.log(p))
-    return [
+    return (
         _up((16.0 * E) ** (2 * (n + 1))),
         _up(float(n) ** 2.5),
         _up(math.log(2.0 * n) ** 2),
         _up(p / (lp * lp)),
-    ]
+    )
 
 
 def matveev_lower_bound(inp: BoundInput) -> float:
@@ -227,7 +230,7 @@ def matveev_lower_bound(inp: BoundInput) -> float:
 
     rounded so the returned value never exceeds the true logarithm.
     """
-    factors = _matveev_head(inp.n) + [_log_up(_up(E * inp.exponent_bound))]
+    factors = [*_matveev_head(inp.n), _log_up(_up(E * inp.exponent_bound))]
     factors.extend(_log_up(a) for a in inp.heights)
     return -_prod_up(factors)
 
@@ -242,7 +245,7 @@ def yu_valuation_bound(inp: BoundInput, p: int) -> float:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = _yu_head(inp.n, p) + [_log_up(inp.exponent_bound)]
+    factors = [*_yu_head(inp.n, p), _log_up(inp.exponent_bound)]
     factors.extend(_log_up(a) for a in inp.heights)
     return _prod_up(factors)
 
@@ -440,9 +443,12 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     # archimedean branch: n = s + 2
     n_a = s + 2
     prefactor_a = _prod_up(
-        _matveev_head(n_a)
-        + prime_logs
-        + [_log_up(_height(base - 1)), _log_up(_height(base))]
+        [
+            *_matveev_head(n_a),
+            *prime_logs,
+            _log_up(_height(base - 1)),
+            _log_up(_height(base)),
+        ]
     )
     # exponents are at most (x+1)*log b / log 2 <= x * (2 log b / log 2)
     shift_a = math.log(2.0 * E * lb / LOG2)
@@ -459,7 +465,7 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     # of the extracted n_k power
     p = smallest_prime_factor(base)
     n_u = s + 1
-    prefactor_u = _prod_up(_yu_head(n_u, p) + prime_logs + [_up(2.0 * lb)])
+    prefactor_u = _prod_up([*_yu_head(n_u, p), *prime_logs, _up(2.0 * lb)])
     shift_u = math.log(2.0 * lb / LOG2)
 
     def g_padic(t):

@@ -157,8 +157,9 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
+def _int_list_arg(text: str) -> tuple[int, ...]:
+    """Comma-separated integer flag; each item is read by _int_arg."""
+    return tuple(_int_arg(part) for part in text.split(",") if part)
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -199,7 +200,7 @@ def _cmd_enum(args) -> int:
         if not args.bases:
             raise ValueError("--bases is required for powersum streams")
         spec = qmod.PowerSumSpec(
-            bases=_parse_int_list(args.bases),
+            bases=args.bases,
             shared_divisor_check=not args.no_gcd_check,
         )
         stream = qmod.power_sum_sequence(spec, max_value=args.max_value)
@@ -208,7 +209,7 @@ def _cmd_enum(args) -> int:
             raise ValueError("--primes is required for smooth streams")
         if args.limit is None:
             raise ValueError("--limit is required for smooth streams")
-        stream = qmod.smooth_sequence(_parse_int_list(args.primes), args.limit)
+        stream = qmod.smooth_sequence(args.primes, args.limit)
 
     stream = islice(stream, args.take)
     with _output(args.output) as out:
@@ -319,7 +320,7 @@ def _bounds_record(args) -> dict:
         rationals = _parse_fraction_list(args.rationals)
         inp = bmod.BoundInput(
             rationals=rationals,
-            exponents=_parse_int_list(args.exponents),
+            exponents=args.exponents,
             heights=_parse_float_list(args.heights),
             exponent_bound=args.bigb,
             assume_product_nontrivial=args.assume_nontrivial,
@@ -358,8 +359,7 @@ def _bounds_record(args) -> dict:
         c = 1.0 if args.c is None else args.c
         return {"op": op, "value": bmod.remark45_check(args.n, args.p_factor, c)}
     if op == "nkbound":
-        primes = _parse_int_list(args.primes)
-        return {"op": op, "value": bmod.lemma31_nk_bound(args.base, args.k, primes)}
+        return {"op": op, "value": bmod.lemma31_nk_bound(args.base, args.k, args.primes)}
     raise ValueError(f"unknown bounds operation {op}")  # pragma: no cover
 
 
@@ -441,7 +441,7 @@ def _cmd_cyclo(args) -> int:
 
 def _cmd_search(args) -> int:
     hits = xmod.smooth_sparse_search(
-        args.base, args.k, _parse_int_list(args.primes), args.limit, eps=args.eps
+        args.base, args.k, args.primes, args.limit, eps=args.eps
     )
     count = 0
     with _output(args.output) as out:
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int_at_least(0),
         default=DEFAULT_BUDGET,
-        help="factoring effort bound (rho iterations, default %(default)s)",
+        help="factoring effort bound (squarings of the rho walk, default %(default)s)",
     )
     parser.add_argument(
         "--threads",
@@ -480,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--base", type=int, default=2)
     p_enum.add_argument("--k", type=int)
     p_enum.add_argument("--f", help="digit budget family, e.g. const:3, loglog:1, sqrtll:0.5")
-    p_enum.add_argument("--bases", help="comma-separated bases for powersum")
+    p_enum.add_argument("--bases", type=_int_list_arg, help="comma-separated bases for powersum")
     p_enum.add_argument("--no-gcd-check", action="store_true")
-    p_enum.add_argument("--primes", help="comma-separated primes for smooth")
+    p_enum.add_argument("--primes", type=_int_list_arg, help="comma-separated primes for smooth")
     p_enum.add_argument("--limit", type=_int_arg, help="value cutoff for smooth streams")
     p_enum.add_argument("--take", type=_int_at_least(0), help="stop after this many terms")
     p_enum.add_argument("--max-value", type=_int_arg, help="stop when values exceed this")
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="bound and threshold calculators")
     p_bounds.add_argument("op", choices=list(_BOUNDS_REQUIRED))
     p_bounds.add_argument("--rationals", help="comma-separated, e.g. 2,3/2")
-    p_bounds.add_argument("--exponents", help="comma-separated integers")
+    p_bounds.add_argument("--exponents", type=_int_list_arg, help="comma-separated integers")
     p_bounds.add_argument("--heights", help="comma-separated reals; 'e' allowed")
     p_bounds.add_argument("--bigb", type=_real_arg, help="exponent bound B")
     p_bounds.add_argument("--assume-nontrivial", action="store_true")
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--omega", type=int)
     p_bounds.add_argument("--p-factor", type=int)
     p_bounds.add_argument("--base", type=int, default=2)
-    p_bounds.add_argument("--primes")
+    p_bounds.add_argument("--primes", type=_int_list_arg)
     p_bounds.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_bounds.add_argument("--output")
     p_bounds.set_defaults(handler=_cmd_bounds)
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="smooth integers with few nonzero digits")
     p_search.add_argument("--base", type=int, required=True)
     p_search.add_argument("--k", type=int, required=True)
-    p_search.add_argument("--primes", required=True)
+    p_search.add_argument("--primes", type=_int_list_arg, required=True)
     p_search.add_argument("--limit", type=_int_arg, required=True)
     p_search.add_argument("--eps", type=_real_arg, default=0.0)
     p_search.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")

@@ -5,11 +5,15 @@ fixed table of small primes, then repeated Brent-rho splitting with
 deterministic parameters.  An n = x**m - 1 or x**m + 1 (m >= 2) is first
 cut into its cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its
 two Aurifeuillian factors; each part then takes the same steps as any other
-input.  Primality testing is Miller-Rabin: deterministic below 3.3e24
-(classical 12-base certificate), and with a fixed 25-prime basis above that,
-so results are reproducible run to run.  Splitting effort is bounded by an
-explicit budget shared by all parts; when it runs out the unsplit composites
-are reported honestly as a cofactor instead of being guessed at.
+input, except that rho splits a part Phi_e(x) with the map y -> y**k + c,
+k = lcm(2, e), which its prime factors make faster (see `_rho_power`).
+Primality testing is Miller-Rabin: deterministic below 3.3e24 (classical
+12-base certificate), and with a fixed 25-prime basis above that, so results
+are reproducible run to run.  Splitting effort is bounded by an explicit
+budget shared by all parts, counted in squarings of the rho walk: a
+y**2 + c step costs 1, a y**k + c step k.bit_length() - 1.  When it runs
+out the unsplit composites are reported honestly as a cofactor instead of
+being guessed at.
 """
 
 import math
@@ -220,7 +224,7 @@ class Factorization:
 # ---------------------------------------------------------------------------
 # splitting
 
-DEFAULT_BUDGET = 200_000  # Brent-rho iterations per factorize() call
+DEFAULT_BUDGET = 200_000  # Brent-rho units (walk squarings) per factorize() call
 
 
 def _int_nth_root(n: int, r: int) -> int:
@@ -278,77 +282,111 @@ def _primitive_power(n: int):
     return n, m
 
 
-def _algebraic_parts(n: int) -> list[int]:
-    """Factors > 1 of n, in ascending order of e, whose product is n.
+def _algebraic_parts(n: int) -> list[tuple[int, int]]:
+    """Pairs (part, e): factors > 1 of n, in ascending order of e, whose
+    product is n, each with the order e of the cyclotomic part it comes from.
 
-    For n = x**m - 1 they are the cyclotomic values Phi_e(x), e | m; for
-    n = x**m + 1, those with e | 2m and e not dividing m (m >= 2, x not a
-    perfect power).  For 2**m + 1 with m = 4k + 2, each part is split
+    For n = x**m - 1 the parts are the cyclotomic values Phi_e(x), e | m;
+    for n = x**m + 1, those with e | 2m and e not dividing m (m >= 2, x not
+    a perfect power).  For 2**m + 1 with m = 4k + 2, each part is split
     further by its gcd with L = 2**(2k+1) - 2**(k+1) + 1, from the
-    Aurifeuillian identity 2**(4k+2) + 1 = L * M.  Any other n is [n].
+    Aurifeuillian identity 2**(4k+2) + 1 = L * M; both halves keep the
+    order of their part.  Any other n is [(n, 1)].
     """
     for sign in (1, -1):
         x, m = _primitive_power(n - sign)
         if m >= 2:
             break
     else:
-        return [n]
+        return [(n, 1)]
     orders = [e for e in _divisors(2 * m) if m % e] if sign == 1 else _divisors(m)
-    parts = [cyclotomic_value(e, x) for e in orders]
+    parts = [(cyclotomic_value(e, x), e) for e in orders]
     if x == 2 and sign == 1 and m % 4 == 2:
         k = m // 4
         aurifeuillian_l = 2 ** (2 * k + 1) - 2 ** (k + 1) + 1
-        gcds = [math.gcd(part, aurifeuillian_l) for part in parts]
-        parts = [q for part, g in zip(parts, gcds) for q in (g, part // g)]
-    return [part for part in parts if part > 1]
+        gcds = [math.gcd(part, aurifeuillian_l) for part, _ in parts]
+        parts = [(q, e) for (part, e), g in zip(parts, gcds) for q in (g, part // g)]
+    return [(part, e) for part, e in parts if part > 1]
 
 
-def _brent_rho(n: int, max_iter: int):
-    """Deterministic Brent rho.  Returns (nontrivial factor or None, used).
+def _rho_power(e: int) -> int:
+    """The exponent of the rho map for a cofactor of Phi_e(x).
 
-    `used` counts the comparisons made, in gcd blocks of at most 128; the
-    budget is checked before each block and each backtracking step, so
-    `used` never exceeds `max_iter`."""
+    Every prime p not dividing e that divides Phi_e(x) has p = 1 (mod e),
+    and once trial division has taken out 2, p is odd, so k = lcm(2, e)
+    divides p - 1.  The walk y -> y**k + c
+    then takes about sqrt(k - 1) times fewer steps than y -> y**2 + c
+    (Brent and Pollard, 1981), and each step costs k.bit_length() - 1
+    squarings; k is used where the first is larger, 2 otherwise.
+    """
+    k = math.lcm(2, e)
+    return k if k - 1 > (k.bit_length() - 1) ** 2 else 2
+
+
+def _brent_rho(n: int, max_iter: int, power: int = 2):
+    """Deterministic Brent rho on y -> y**power + c.  Returns (nontrivial
+    factor or None, used).
+
+    `used` counts squarings of the walk over the comparisons made:
+    power.bit_length() - 1 per step, so 1 for y**2 + c.  The budget is
+    checked before each gcd block of at most 128 steps and before each
+    backtracking step, so `used` never exceeds `max_iter`.  The map is
+    chosen once per block; the y**2 + c loops stay free of `pow`.
+    """
+    charge = power.bit_length() - 1
     used = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            if power == 2:
+                for _ in range(r):
+                    y = (y * y + c) % n
+            else:
+                for _ in range(r):
+                    y = (pow(y, power, n) + c) % n
             k = 0
             while k < r and g == 1:
-                if used == max_iter:
+                if max_iter - used < charge:
                     return None, used
                 ys = y
-                block = min(128, r - k, max_iter - used)
-                for _ in range(block):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
+                block = min(128, r - k, (max_iter - used) // charge)
+                if power == 2:
+                    for _ in range(block):
+                        y = (y * y + c) % n
+                        q = q * (x - y) % n
+                else:
+                    for _ in range(block):
+                        y = (pow(y, power, n) + c) % n
+                        q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += block
-                used += block
+                used += block * charge
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                if used == max_iter:
+                if max_iter - used < charge:
                     return None, used
-                ys = (ys * ys + c) % n
+                ys = (pow(ys, power, n) + c) % n
                 g = math.gcd(x - ys, n)
-                used += 1
+                used += charge
         if g != n:
             return g, used
         # cycle collapsed; retry with the next polynomial increment
 
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n, spending at most `budget` rho iterations on hard cofactors.
+    """Factor n, spending at most `budget` rho units on hard cofactors.
 
     An n = x**m +- 1 is first cut into its algebraic parts (see
     `_algebraic_parts`); every part is then trial-divided and split like any
-    other input, all on the one budget.
+    other input, all on the one budget.  Each cofactor of a part Phi_e(x)
+    (after trial division, the halves of a rho split, the roots of a
+    perfect power) is split with the map y -> y**k + c of `_rho_power(e)`;
+    any other input walks y -> y**2 + c.  A unit is one squaring of the
+    walk: a y**2 + c step costs 1, a y**k + c step k.bit_length() - 1.
 
     Always returns: if the budget runs out, the product of the unsplit
     composites goes to `cofactor` and `complete` is False.
@@ -362,20 +400,20 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         return Factorization(n=n, pairs=tuple(pairs), cofactor=1)
 
     found: dict[int, int] = {}
-    stack = []
-    for part in reversed(_algebraic_parts(n)):  # smallest part popped first
+    stack = []  # (cofactor, exponent of its rho map)
+    for part, e in reversed(_algebraic_parts(n)):  # smallest part popped first
         for p in _SMALL_PRIMES:
             if p * p > part:
                 break
             if part % p == 0:
-                part, e = divide_out(part, p)
-                found[p] = found.get(p, 0) + e
+                part, v = divide_out(part, p)
+                found[p] = found.get(p, 0) + v
         if part > 1:
-            stack.append(part)
+            stack.append((part, _rho_power(e)))
     remaining = budget
     failed = 1
     while stack:
-        m = stack.pop()
+        m, power = stack.pop()
         if m < _fastfactor.FAST_LIMIT:
             for p, e in _fastfactor.factor_small(m):
                 found[p] = found.get(p, 0) + e
@@ -383,21 +421,21 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
-        power = _perfect_power(m)
-        if power is not None:
-            root, exp = power
-            stack.extend([root] * exp)
+        perfect = _perfect_power(m)
+        if perfect is not None:
+            root, exp = perfect
+            stack.extend([(root, power)] * exp)
             continue
         if remaining <= 0:
             failed *= m
             continue
-        d, used = _brent_rho(m, remaining)
+        d, used = _brent_rho(m, remaining, power)
         remaining -= used
         if d is None:
             failed *= m
         else:
-            stack.append(d)
-            stack.append(m // d)
+            stack.append((d, power))
+            stack.append((m // d, power))
     pairs = tuple(sorted(found.items()))
     return Factorization(n=n, pairs=pairs, cofactor=failed)
 

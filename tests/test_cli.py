@@ -321,6 +321,34 @@ def test_non_finite_real_rejected(args, tmp_path):
     run_rejected(tmp_path, *args.split())
 
 
+# Each comma-separated integer flag, once with plain integers and once with
+# the same integers in scientific notation.
+INT_LIST_ARGS = [
+    ("enum --kind smooth --limit 100 --primes", "2,5", "2,5e0"),
+    ("enum --kind powersum --take 5 --bases", "2,4", "2,0.4e1"),
+    ("bounds matveev --rationals 2,3 --heights e,3 --bigb 3 --exponents", "1,1", "1e0,1"),
+    ("bounds nkbound --base 2 --k 3 --primes", "3,5", "3,5e0"),
+    ("search --base 3 --k 2 --limit 1e4 --primes", "2,5", "2e0,5"),
+]
+
+
+@pytest.mark.parametrize("args, plain, scientific", INT_LIST_ARGS)
+def test_integer_lists_read_scientific_notation(args, plain, scientific, capsys):
+    assert main(args.split() + [plain]) == 0
+    expected = capsys.readouterr().out
+    assert main(args.split() + [scientific]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("args", [
+    "enum --kind smooth --limit 100 --primes 2,1.5",
+    "enum --kind powersum --take 5 --bases 2,1e-3",
+    "search --base 3 --k 2 --limit 1e4 --primes 2,x",
+])
+def test_non_integer_list_item_rejected(args, tmp_path):
+    run_rejected(tmp_path, *args.split())
+
+
 # Each bounds operation with every flag it needs, as in the README.
 BOUNDS_EXAMPLES = {
     "matveev": "--rationals 2,3 --exponents 1,1 --heights e,3 --bigb 3",

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothdigits import _fastfactor
+from smoothdigits import _fastfactor, factor
 from smoothdigits.factor import (
     Factorization,
     _brent_rho,
+    _rho_power,
     IncompleteFactorizationError,
     PrimeSet,
     cyclotomic_value,
@@ -107,9 +108,10 @@ class TestFactorize:
     @given(
         n=st.integers(min_value=2**40, max_value=2**96).filter(lambda n: not is_prime(n)),
         budget=st.integers(min_value=0, max_value=3000),
+        power=st.just(2) | st.integers(min_value=16, max_value=400).map(lambda h: 2 * h),
     )
-    def test_rho_never_exceeds_budget(self, n, budget):
-        d, used = _brent_rho(n, budget)
+    def test_rho_never_exceeds_budget(self, n, budget, power):
+        d, used = _brent_rho(n, budget, power)
         assert used <= budget
         if d is not None:
             assert 1 < d < n and n % d == 0
@@ -163,6 +165,43 @@ class TestAlgebraicSplit:
     def test_two_digit_values_complete(self, m):
         # Partial at this budget without the algebraic split.
         assert factorize(2**m + 1).complete
+
+    @pytest.mark.parametrize("m", [103, 144])
+    def test_power_map_completes(self, m):
+        # Partial at this budget with y**2 + c on every cofactor.
+        assert factorize(2**m + 1).complete
+
+    def test_rho_power_follows_the_form(self, monkeypatch):
+        powers = []
+
+        def spy(n, max_iter, power=2):
+            powers.append(power)
+            return _brent_rho(n, max_iter, power)
+
+        monkeypatch.setattr(factor, "_brent_rho", spy)
+        fact = factorize(2**70 + 2**33 + 1)
+        assert fact.reconstruct() == 2**70 + 2**33 + 1
+        assert powers and set(powers) == {2}
+        powers.clear()
+        # The rho cofactors of 2**103 + 1 are in Phi_206(2).
+        factorize(2**103 + 1)
+        assert powers and set(powers) == {206}
+
+    def test_rho_power_rule(self):
+        # k = lcm(2, e) where sqrt(k - 1) > k.bit_length() - 1, else 2.
+        assert [_rho_power(e) for e in (1, 2, 4, 5, 8, 10, 16)] == [2] * 7
+        assert [_rho_power(e) for e in (3, 6, 7, 9, 32, 206)] == [6, 6, 14, 18, 32, 206]
+
+    @pytest.mark.parametrize("x", [2, 3, 10])
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_complete_factorizations_are_prime(self, x, s):
+        sympy = pytest.importorskip("sympy")
+        for m in range(1, 151):
+            n = x**m + s
+            fact = factorize(n, budget=20_000)
+            assert fact.reconstruct() == n
+            if fact.complete:
+                assert all(sympy.isprime(p) for p in fact.prime_factors), (x, m, s)
 
     def test_cyclotomic_and_aurifeuillian_identities(self):
         sympy = pytest.importorskip("sympy")
