@@ -26,7 +26,7 @@ FAST_LIMIT = 1 << 31
 # The table that factor_small reads covers n < 2**16.  Its primes reach past
 # isqrt(FAST_LIMIT - 1) = 46340, so they are a complete trial-division basis
 # for every larger n below FAST_LIMIT.
-_SMALL_LIMIT = 1 << 16
+SMALL_LIMIT = 1 << 16
 
 
 def _spf_table(limit):
@@ -55,8 +55,8 @@ def primes_up_to(limit):
     return _table_primes(_spf_table(limit)).tolist()
 
 
-_SMALL_TABLE = _spf_table(_SMALL_LIMIT - 1)
-_SMALL_SPF = _SMALL_TABLE.tolist()  # plain ints index fastest
+_SMALL_TABLE = _spf_table(SMALL_LIMIT - 1)
+SMALL_SPF = _SMALL_TABLE.tolist()  # plain ints index fastest
 _SMALL_PRIMES = _table_primes(_SMALL_TABLE)
 
 
@@ -75,9 +75,9 @@ def factor_small(n):
     if not 1 <= n < FAST_LIMIT:
         raise ValueError(f"factor_small needs 1 <= n < 2**31, got {n}")
     pairs = []
-    if n < _SMALL_LIMIT:
+    if n < SMALL_LIMIT:
         while n > 1:
-            p = _SMALL_SPF[n]
+            p = SMALL_SPF[n]
             n, e = divide_out(n, p)
             pairs.append((p, e))
         return pairs

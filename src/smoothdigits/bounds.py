@@ -22,10 +22,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .digits import DigitExpansion, condition_3_2, decompose
+from .digits import DigitExpansion, condition_3_2, decompose, recompose
 from .factor import (
+    DEFAULT_BUDGET,
     Factorization,
     PrimeSet,
     _as_prime_set,
@@ -70,20 +71,20 @@ _PRODUCT_CHECK_BIT_LIMIT = 1 << 22
 # directed rounding helpers
 
 
-def _up(x: float, steps: int = 2) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, math.inf)
-    return x
+def _up(x: float) -> float:
+    """x moved two ulps toward +inf."""
+    return math.nextafter(math.nextafter(x, math.inf), math.inf)
 
 
-def _down(x: float, steps: int = 2) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, -math.inf)
-    return x
+def _down(x: float) -> float:
+    """x moved two ulps toward -inf."""
+    return math.nextafter(math.nextafter(x, -math.inf), -math.inf)
 
 
+@functools.lru_cache(maxsize=1024)
 def _log_up(x) -> float:
-    return _up(math.log(x))
+    """log x moved two ulps toward +inf, memoized by x."""
+    return math.nextafter(math.nextafter(math.log(x), math.inf), math.inf)
 
 
 def _float_at_least(n) -> float:
@@ -99,10 +100,11 @@ def _height(x) -> float:
     return max(_float_at_least(x), E)
 
 
-def _prod_up(factors) -> float:
-    out = 1.0
+def _prod_up(factors, out: float = 1.0) -> float:
+    """out times the factors, moved one ulp toward +inf after each
+    multiplication; a product passed as out continues where it stopped."""
     for f in factors:
-        out = _up(out * f, 1)
+        out = math.nextafter(out * f, math.inf)
     return out
 
 
@@ -162,29 +164,27 @@ class BoundInput:
             raise ValueError(f"need at least 2 rationals, got {n}")
         if len(self.exponents) != n or len(self.heights) != n:
             raise ValueError("rationals, exponents and heights must align")
-        for z in self.rationals:
-            if z == 0:
+        ratios = [z.as_integer_ratio() for z in self.rationals]
+        for x, _ in ratios:
+            if x == 0:
                 raise ValueError("rationals must be nonzero")
-        for z, a in zip(self.rationals, self.heights):
-            if not math.isfinite(a):
-                raise ValueError("heights must be finite")
-            least = max(abs(z.numerator), abs(z.denominator))
-            if a < least or a < E:
+        for (x, y), a, z in zip(ratios, self.heights, self.rationals):
+            # y > 0 by the contract of as_integer_ratio; nan fails E <= a
+            if not E <= a < math.inf or a < abs(x) or a < y:
+                if not math.isfinite(a):
+                    raise ValueError("heights must be finite")
                 raise ValueError(
                     f"height {a} below max(|x|, |y|, e) for rational {z}"
                 )
-        big = max(3.0, *(abs(b) for b in self.exponents))
+        big = max(3.0, max(self.exponents), -min(self.exponents))
         if self.exponent_bound < big:
             raise ValueError(
                 f"exponent bound {self.exponent_bound} below required {big}"
             )
         if not self.assume_product_nontrivial:
             bits = sum(
-                abs(b)
-                * max(
-                    z.numerator.bit_length(), z.denominator.bit_length()
-                )
-                for z, b in zip(self.rationals, self.exponents)
+                abs(b) * max(x.bit_length(), y.bit_length())
+                for (x, y), b in zip(ratios, self.exponents)
             )
             if bits > _PRODUCT_CHECK_BIT_LIMIT:
                 raise ValueError(
@@ -206,21 +206,23 @@ class BoundInput:
 
 
 @functools.cache
-def _matveev_head(n: int) -> tuple[float, ...]:
-    """Matveev's constant factors 8, 30**(n+3), n**(9/2), rounded up."""
-    return (8.0, _up(30.0 ** (n + 3)), _up(float(n) ** 4.5))
+def _matveev_head(n: int) -> float:
+    """_prod_up of Matveev's constant factors 8, 30**(n+3), n**(9/2),
+    each rounded up."""
+    return _prod_up((8.0, _up(30.0 ** (n + 3)), _up(float(n) ** 4.5)))
 
 
 @functools.cache
-def _yu_head(n: int, p: int) -> tuple[float, ...]:
-    """Yu's constant factors (16e)**(2(n+1)), n**(5/2), (log 2n)**2, p/(log p)**2."""
+def _yu_head(n: int, p: int) -> float:
+    """_prod_up of Yu's constant factors (16e)**(2(n+1)), n**(5/2),
+    (log 2n)**2, p/(log p)**2, each rounded up."""
     lp = _down(math.log(p))
-    return (
+    return _prod_up((
         _up((16.0 * E) ** (2 * (n + 1))),
         _up(float(n) ** 2.5),
         _up(math.log(2.0 * n) ** 2),
         _up(p / (lp * lp)),
-    )
+    ))
 
 
 def matveev_lower_bound(inp: BoundInput) -> float:
@@ -230,9 +232,8 @@ def matveev_lower_bound(inp: BoundInput) -> float:
 
     rounded so the returned value never exceeds the true logarithm.
     """
-    factors = [*_matveev_head(inp.n), _log_up(_up(E * inp.exponent_bound))]
-    factors.extend(_log_up(a) for a in inp.heights)
-    return -_prod_up(factors)
+    logs = (_log_up(_up(E * inp.exponent_bound)), *map(_log_up, inp.heights))
+    return -_prod_up(logs, _matveev_head(inp.n))
 
 
 def yu_valuation_bound(inp: BoundInput, p: int) -> float:
@@ -245,17 +246,15 @@ def yu_valuation_bound(inp: BoundInput, p: int) -> float:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = [*_yu_head(inp.n, p), _log_up(inp.exponent_bound)]
-    factors.extend(_log_up(a) for a in inp.heights)
-    return _prod_up(factors)
+    logs = (_log_up(inp.exponent_bound), *map(_log_up, inp.heights))
+    return _prod_up(logs, _yu_head(inp.n, p))
 
 
 # ---------------------------------------------------------------------------
 # trace of the two proof branches
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     label: str  # one of "3.4", "3.5", "3.7", "3.8"
     lhs: float
     rhs: float
@@ -263,8 +262,7 @@ class TraceRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     """Concrete numbers for one integer's proof inequalities.
 
     branch is "lambda_a" (archimedean form, taken when n_k >= 2*n_{k-1},
@@ -273,6 +271,9 @@ class TraceReport:
     on the p-adic branch.  Row labels follow the inequality numbering of
     the trace contract: 3.4/3.5 on the archimedean branch, 3.7 (one row per
     chain link) and 3.8 on the p-adic branch.
+
+    Rows and reports are named tuples: immutable, and built in a fraction
+    of a frozen dataclass's time, which matters once per survey record.
     """
 
     N: int
@@ -313,30 +314,56 @@ def ell_select(e: DigitExpansion) -> int:
     k = e.k
     if k < 3:
         raise ValueError(f"need at least 3 nonzero digits, got {k}")
-    exps = e.exponents
-    n_k = exps[-1]
+    terms = e.terms
+    n_k = terms[-1][0]
     for j in range(1, k - 2):  # j <= k-3
-        if exps[j] ** (k - 2) >= n_k**j:
+        if terms[j][0] ** (k - 2) >= n_k**j:
             return j
     return k - 2
 
 
-def _form(pairs, extra_terms, exponent_bound: float) -> BoundInput:
+@functools.lru_cache(maxsize=1024)
+def _term(x: int) -> tuple[Fraction, float]:
+    """Fraction(x) and _height(x) for an integer term of a form, memoized
+    by x: the primes, digits and base powers of a survey recur."""
+    return Fraction(x), _height(x)
+
+
+def _form(pairs, extra_terms) -> BoundInput:
     """The linear form over the primes of N with their exponents, followed
-    by the extra (integer, exponent) terms; every height is _height's."""
-    terms = tuple(pairs) + tuple(extra_terms)
+    by the extra (integer, exponent) terms; every height is _height's, and
+    the exponent bound is the least one allowed, max(3, |b_1|, ...)."""
+    xs, exponents = zip(*pairs, *extra_terms)
+    rationals, heights = zip(*map(_term, xs))
     return BoundInput(
-        rationals=tuple(Fraction(x) for x, _ in terms),
-        exponents=tuple(e for _, e in terms),
-        heights=tuple(_height(x) for x, _ in terms),
-        exponent_bound=exponent_bound,
+        rationals=rationals,
+        exponents=exponents,
+        heights=heights,
+        exponent_bound=float(max(3, max(exponents), -min(exponents))),
         assume_product_nontrivial=True,
     )
 
 
-def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceReport:
+@functools.lru_cache(maxsize=64)
+def _least_prime(base: int, budget: int) -> int:
+    """smallest_prime_factor(base, budget), memoized per (base, budget); a
+    base that does not factor within the budget raises every time."""
+    return smallest_prime_factor(base, budget)
+
+
+def lemma31_trace(
+    N: int,
+    base: int,
+    factorization: Factorization,
+    expansion: Optional[DigitExpansion] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> TraceReport:
     """Evaluate the proof inequalities for one integer N (not divisible by
-    `base`, fully factored, with at least two nonzero digits)."""
+    `base`, fully factored, with at least two nonzero digits).
+
+    `expansion` is decompose(N, base), made here when not given.  The
+    p-adic branch needs the least prime of the base, found by factoring
+    the base within `budget`."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if N % base == 0:
@@ -344,28 +371,29 @@ def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceRepor
     if factorization.n != N:
         raise ValueError("factorization does not belong to N")
     factorization.require_complete()
-    expansion = decompose(N, base)
-    k = expansion.k
+    if expansion is None:
+        expansion = decompose(N, base)
+    elif expansion.base != base or recompose(expansion) != N:
+        raise ValueError("expansion does not belong to N")
+    terms = expansion.terms
+    k = len(terms)
     if k < 2:
         raise ValueError("a single-digit integer has no linear form to trace")
-    exps = expansion.exponents
-    digs = expansion.digits
-    n_k = exps[-1]
+    n_k, d_k = terms[-1]
     k_star = max(k - 2, 1)
     lb = math.log(base)
     size_ok = condition_3_2(N, base, k)
     pairs = factorization.pairs
-    r_max = max(e for _, e in pairs)
 
-    if k == 2 or n_k >= 2 * exps[-2]:
+    if k == 2 or n_k >= 2 * terms[-2][0]:
         # archimedean form: (prod q_i^{r_i}) / (d_k b^{n_k}) - 1
         branch, ell, p, v = "lambda_a", None, None, None
-        den = digs[-1] * base**n_k
+        den = d_k * base**n_k
         lam = Fraction(N - den, den)
-        log_lam = math.log(lam.numerator) - math.log(lam.denominator)
+        x, y = lam.as_integer_ratio()
+        log_lam = math.log(x) - math.log(y)
         rhs34 = -(n_k / 2.0 - 1.0) * lb
-        form = _form(pairs, ((digs[-1], -1), (base, -n_k)), float(max(3, n_k, r_max)))
-        mat = matveev_lower_bound(form)
+        mat = matveev_lower_bound(_form(pairs, ((d_k, -1), (base, -n_k))))
         rows = (
             TraceRow("3.4", log_lam, rhs34, log_lam <= rhs34, "upper bound from digit tail"),
             TraceRow("3.5", log_lam, mat, log_lam >= mat, "archimedean lower bound"),
@@ -374,12 +402,12 @@ def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceRepor
         # p-adic form: split the expansion at ell
         branch = "lambda_u"
         ell = ell_select(expansion)
-        p = smallest_prime_factor(base)
-        t_low = sum(d * base**e for e, d in expansion.terms[:ell])
+        p = _least_prime(base, budget)
+        t_low = sum(d * base**e for e, d in terms[:ell])
         lam = Fraction(N - t_low, t_low)
         v = p_adic_valuation(lam, p)
-        n_ell = exps[ell - 1]
-        n_ell1 = exps[ell]
+        n_ell = terms[ell - 1][0]
+        n_ell1 = terms[ell][0]
         exponent = ell / (k - 2)
         links = (
             n_ell1 - (1 + n_ell) * lb / math.log(p),
@@ -387,15 +415,13 @@ def lemma31_trace(N: int, base: int, factorization: Factorization) -> TraceRepor
             0.5 * n_k**exponent - 2 * n_k**exponent * lb / (n_k ** (1 / (k - 2)) * LOG2),
             0.25 * n_k**exponent,
         )
-        yu = yu_valuation_bound(_form(pairs, ((t_low, -1),), float(max(3, r_max))), p)
-        rows = tuple(
-            TraceRow("3.7", float(v), rhs, v >= rhs, f"link {i}")
-            for i, rhs in enumerate(links, start=1)
-        ) + (TraceRow("3.8", float(v), yu, v < yu, "p-adic upper bound"),)
-    return TraceReport(
-        N=N, base=base, branch=branch, k=k, k_star=k_star, ell=ell, p=p,
-        lambda_value=lam, valuation=v, size_condition_met=size_ok, rows=rows,
-    )
+        yu = yu_valuation_bound(_form(pairs, ((t_low, -1),)), p)
+        lhs = float(v)
+        rows = (
+            *[TraceRow("3.7", lhs, rhs, v >= rhs, f"link {i}") for i, rhs in enumerate(links, 1)],
+            TraceRow("3.8", lhs, yu, v < yu, "p-adic upper bound"),
+        )
+    return TraceReport(N, base, branch, k, k_star, ell, p, lam, v, size_ok, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +443,10 @@ def _sup_crossing(g, x0: float = 8.0) -> float:
             lo = mid
         else:
             hi = mid
-    return _up(hi, 4)
+    return _up(_up(hi))
 
 
-def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
+def lemma31_nk_bound(base: int, k: int, prime_set, budget: int = DEFAULT_BUDGET) -> float:
     """Explicit upper bound for the top exponent n_k of a base-`base`
     integer with k nonzero digits whose prime support lies in prime_set,
     valid under the size condition.
@@ -428,8 +454,9 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     Both proof branches are instantiated with their concrete heights (the
     archimedean form over the s+2 rationals q_1..q_s, top digit, base; the
     p-adic form over the s+1 rationals q_1..q_s and the low digit block,
-    at the smallest prime divisor of the base), each branch is solved for
-    its crossing point, and the larger value is raised to the k* power.
+    at the smallest prime divisor of the base, found by factoring the base
+    within `budget`), each branch is solved for its crossing point, and the
+    larger value is raised to the k* power.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -443,12 +470,8 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
     # archimedean branch: n = s + 2
     n_a = s + 2
     prefactor_a = _prod_up(
-        [
-            *_matveev_head(n_a),
-            *prime_logs,
-            _log_up(_height(base - 1)),
-            _log_up(_height(base)),
-        ]
+        [*prime_logs, _log_up(_height(base - 1)), _log_up(_height(base))],
+        _matveev_head(n_a),
     )
     # exponents are at most (x+1)*log b / log 2 <= x * (2 log b / log 2)
     shift_a = math.log(2.0 * E * lb / LOG2)
@@ -463,9 +486,9 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
 
     # p-adic branch: n = s + 1, height of the low block <= 2 log b per unit
     # of the extracted n_k power
-    p = smallest_prime_factor(base)
+    p = _least_prime(base, budget)
     n_u = s + 1
-    prefactor_u = _prod_up([*_yu_head(n_u, p), *prime_logs, _up(2.0 * lb)])
+    prefactor_u = _prod_up([*prime_logs, _up(2.0 * lb)], _yu_head(n_u, p))
     shift_u = math.log(2.0 * lb / LOG2)
 
     def g_padic(t):
@@ -473,10 +496,10 @@ def lemma31_nk_bound(base: int, k: int, prime_set) -> float:
         return 4.0 * prefactor_u * big
 
     t_padic = _sup_crossing(g_padic)
-    return _up(max(x_arch, t_padic) ** (k - 2), 4)
+    return _up(_up(max(x_arch, t_padic) ** (k - 2)))
 
 
-def thm12_default_constants(base: int) -> tuple[float, float]:
+def thm12_default_constants(base: int, budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
     """Default (c, C) pair for the digit-count gap inequality.
 
     C caps the logarithmic growth of the instantiated bounds per additional
@@ -486,7 +509,8 @@ def thm12_default_constants(base: int) -> tuple[float, float]:
     the solved top-exponent bound at the smallest instantiation (single
     prime 2, three digits), plus the terms absorbed when passing from the
     top exponent to log log N.  Both are generous by construction and never
-    tuned to data.
+    tuned to data.  `budget` bounds the factorization of the base, as in
+    lemma31_nk_bound.
     """
     c_arch = math.log(30.0) + 4.5 * math.log(1.5) - math.log(LOG2)
     c_padic = (
@@ -496,7 +520,7 @@ def thm12_default_constants(base: int) -> tuple[float, float]:
         - math.log(LOG2)
     )
     growth = max(c_arch, c_padic) + LOG2 + 0.5
-    ref = lemma31_nk_bound(base, 3, PrimeSet((2,)))
+    ref = lemma31_nk_bound(base, 3, PrimeSet((2,)), budget)
     offset = math.log(ref) + LOG2 + max(math.log(math.log(base)), 0.0) + 1.0
     return offset, growth
 

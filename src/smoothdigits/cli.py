@@ -73,11 +73,21 @@ _JSON_INT_LIMIT = 1 << 53
 _THRESHOLD_FIELDS = frozenset({"thm11", "thm13", "cor15", "value"})
 
 
+# Types both rules leave as they are (a bool is not an int here).
+_SCALARS = frozenset({str, float, bool})
+
+
 def _json_value(v):
+    """The integer rule, applied at any depth of ints, lists, tuples and
+    dicts.  Here and in RecordWriter.write an int below the limit is
+    tested inline, which saves a call on most values."""
     if type(v) is int:  # not bool
         return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
+        return [
+            x if type(x) is int and -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else _json_value(x)
+            for x in v
+        ]
     if isinstance(v, dict):
         return {key: _json_value(x) for key, x in v.items()}
     return v
@@ -98,11 +108,15 @@ class RecordWriter:
 
     def write(self, record: dict):
         record = {
-            key: "not applicable" if v is None and key in _THRESHOLD_FIELDS else _json_value(v)
+            key: v
+            if type(v) in _SCALARS or type(v) is int and -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT
+            else _json_value(v) if v is not None
+            else "not applicable" if key in _THRESHOLD_FIELDS
+            else None
             for key, v in record.items()
         }
         if self.fmt == "jsonl":
-            print(json.dumps(record), file=self.stream)
+            self.stream.write(json.dumps(record) + "\n")
         else:
             if self._csv is None:
                 self._csv = csv.DictWriter(self.stream, list(record))
@@ -272,7 +286,7 @@ def _cmd_trace(args) -> int:
             f"{args.n} did not factor within budget {args.budget}; "
             f"raise --budget to trace it"
         )
-    report = bmod.lemma31_trace(args.n, args.base, fact)
+    report = bmod.lemma31_trace(args.n, args.base, fact, budget=args.budget)
     with _output(args.output) as out:
         if args.format == "jsonl":
             writer = RecordWriter("jsonl", out)
@@ -332,7 +346,7 @@ def _bounds_record(args) -> dict:
         return {"op": op, "value": bmod.thm11_threshold(args.u, args.k, args.eps)}
     if op == "thm12":
         if args.c is None and args.big_c is None:
-            c, big_c = bmod.thm12_default_constants(args.base)
+            c, big_c = bmod.thm12_default_constants(args.base, args.budget)
         elif args.c is None or args.big_c is None:
             missing = "--c" if args.c is None else "--big-c"
             raise ValueError(f"bounds thm12 needs {missing} as well: give both or neither")
@@ -359,7 +373,8 @@ def _bounds_record(args) -> dict:
         c = 1.0 if args.c is None else args.c
         return {"op": op, "value": bmod.remark45_check(args.n, args.p_factor, c)}
     if op == "nkbound":
-        return {"op": op, "value": bmod.lemma31_nk_bound(args.base, args.k, args.primes)}
+        value = bmod.lemma31_nk_bound(args.base, args.k, args.primes, args.budget)
+        return {"op": op, "value": value}
     raise ValueError(f"unknown bounds operation {op}")  # pragma: no cover
 
 
@@ -477,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enum", help="ordered integer streams")
     p_enum.add_argument("--kind", choices=["sparse", "powersum", "smooth"], default="sparse")
-    p_enum.add_argument("--base", type=int, default=2)
-    p_enum.add_argument("--k", type=int)
+    p_enum.add_argument("--base", type=_int_arg, default=2)
+    p_enum.add_argument("--k", type=_int_arg)
     p_enum.add_argument("--f", help="digit budget family, e.g. const:3, loglog:1, sqrtll:0.5")
     p_enum.add_argument("--bases", type=_int_list_arg, help="comma-separated bases for powersum")
     p_enum.add_argument("--no-gcd-check", action="store_true")
@@ -498,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="proof-inequality trace for one integer")
     p_trace.add_argument("n", type=_int_arg)
-    p_trace.add_argument("--base", type=int, default=2)
+    p_trace.add_argument("--base", type=_int_arg, default=2)
     p_trace.add_argument("--format", choices=["text", "jsonl"], default="text")
     p_trace.add_argument("--output")
     p_trace.set_defaults(handler=_cmd_trace)
@@ -510,20 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--heights", help="comma-separated reals; 'e' allowed")
     p_bounds.add_argument("--bigb", type=_real_arg, help="exponent bound B")
     p_bounds.add_argument("--assume-nontrivial", action="store_true")
-    p_bounds.add_argument("--p", type=int, help="prime for the p-adic estimate")
+    p_bounds.add_argument("--p", type=_int_arg, help="prime for the p-adic estimate")
     p_bounds.add_argument("--u", type=_real_arg)
     p_bounds.add_argument("--v", type=_real_arg)
     p_bounds.add_argument("--n", type=_int_arg)
-    p_bounds.add_argument("--nz", type=int)
-    p_bounds.add_argument("--k", type=int)
+    p_bounds.add_argument("--nz", type=_int_arg)
+    p_bounds.add_argument("--k", type=_int_arg)
     p_bounds.add_argument("--eps", type=_real_arg, default=0.0)
     p_bounds.add_argument("--f-value", type=_real_arg)
     p_bounds.add_argument("--delta0", type=_real_arg)
     p_bounds.add_argument("--c", type=_real_arg)
     p_bounds.add_argument("--big-c", type=_real_arg, dest="big_c")
-    p_bounds.add_argument("--omega", type=int)
-    p_bounds.add_argument("--p-factor", type=int)
-    p_bounds.add_argument("--base", type=int, default=2)
+    p_bounds.add_argument("--omega", type=_int_arg)
+    p_bounds.add_argument("--p-factor", type=_int_arg)
+    p_bounds.add_argument("--base", type=_int_arg, default=2)
     p_bounds.add_argument("--primes", type=_int_list_arg)
     p_bounds.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_bounds.add_argument("--output")
@@ -533,10 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     survey_sub = p_survey.add_subparsers(dest="survey_kind", required=True)
 
     p_sparse = survey_sub.add_parser("sparse", help="sparse-sequence survey")
-    p_sparse.add_argument("--base", type=int, default=2)
-    p_sparse.add_argument("--k", type=int)
+    p_sparse.add_argument("--base", type=_int_arg, default=2)
+    p_sparse.add_argument("--k", type=_int_arg)
     p_sparse.add_argument("--f", help="digit budget family spec")
-    p_sparse.add_argument("--count", type=int, required=True)
+    p_sparse.add_argument("--count", type=_int_arg, required=True)
     p_sparse.add_argument("--eps", type=_real_arg, default=0.0)
     p_sparse.add_argument("--max-value", type=_int_arg)
     p_sparse.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
@@ -544,23 +559,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparse.set_defaults(handler=_cmd_survey_sparse)
 
     p_stewart = survey_sub.add_parser("stewart", help="digit counts of a**n")
-    p_stewart.add_argument("--a", type=int, required=True)
-    p_stewart.add_argument("--base", type=int, required=True)
-    p_stewart.add_argument("--start", type=int, default=3)
-    p_stewart.add_argument("--end", type=int, required=True)
+    p_stewart.add_argument("--a", type=_int_arg, required=True)
+    p_stewart.add_argument("--base", type=_int_arg, required=True)
+    p_stewart.add_argument("--start", type=_int_arg, default=3)
+    p_stewart.add_argument("--end", type=_int_arg, required=True)
     p_stewart.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_stewart.add_argument("--output")
     p_stewart.set_defaults(handler=_cmd_survey_stewart)
 
     p_cyclo = sub.add_parser("cyclo", help="cyclotomic construction of 2^n + 1")
-    p_cyclo.add_argument("--n", type=int, required=True)
+    p_cyclo.add_argument("--n", type=_int_arg, required=True)
     p_cyclo.add_argument("--format", choices=["text", "jsonl", "csv"], default="text")
     p_cyclo.add_argument("--output")
     p_cyclo.set_defaults(handler=_cmd_cyclo)
 
     p_search = sub.add_parser("search", help="smooth integers with few nonzero digits")
-    p_search.add_argument("--base", type=int, required=True)
-    p_search.add_argument("--k", type=int, required=True)
+    p_search.add_argument("--base", type=_int_arg, required=True)
+    p_search.add_argument("--k", type=_int_arg, required=True)
     p_search.add_argument("--primes", type=_int_list_arg, required=True)
     p_search.add_argument("--limit", type=_int_arg, required=True)
     p_search.add_argument("--eps", type=_real_arg, default=0.0)

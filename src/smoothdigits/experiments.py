@@ -109,18 +109,19 @@ def _survey_record(j, value, base, k, fact, eps, budget_fn) -> SurveyRecord:
 
     branch = rows_ok = size_ok = None
     if complete and nz >= 2:
-        report = lemma31_trace(value, base, fact)
+        report = lemma31_trace(value, base, fact, expansion)
         branch = report.branch
         rows_ok = report.expected_rows_hold
         size_ok = report.size_condition_met
 
+    exponents, digits = zip(*expansion.terms)
     return SurveyRecord(
         j=j,
         value=value,
         base=base,
         nz=nz,
-        exponents=expansion.exponents,
-        digits=expansion.digits,
+        exponents=exponents,
+        digits=digits,
         complete=complete,
         factors=fact.pairs,
         cofactor=fact.cofactor,

@@ -7,8 +7,9 @@ cut into its cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its
 two Aurifeuillian factors; each part then takes the same steps as any other
 input, except that rho splits a part Phi_e(x) with the map y -> y**k + c,
 k = lcm(2, e), which its prime factors make faster (see `_rho_power`).
-Primality testing is Miller-Rabin: deterministic below 3.3e24 (classical
-12-base certificate), and with a fixed 25-prime basis above that, so results
+Primality testing is exact below 2**16 (a table lookup) and Miller-Rabin
+above: deterministic below 3.3e24 (the first 13 primes as bases at most),
+and with a fixed 25-prime basis above that, so results
 are reproducible run to run.  Splitting effort is bounded by an explicit
 budget shared by all parts, counted in squarings of the rho walk: a
 y**2 + c step costs 1, a y**k + c step k.bit_length() - 1.  When it runs
@@ -66,16 +67,20 @@ def _trial_divisors():
 
 
 # (limit, bases): Miller-Rabin is deterministic below each limit with the
-# given bases.  The final tier (3.3e24) uses the first 12 primes.
+# given bases, for the n >= 2**16 that reach it.  {2, 7, 61} is Jaeschke's
+# (1993) three-base set, good below 4759123141 = 48781 * 97561, its least
+# strong pseudoprime.  Every other limit is the least strong pseudoprime to
+# all of its bases, the first r primes (OEIS A014233); 3825123056546413051
+# fools the first 11 primes and 318665857834031151167461 the first 12, so
+# the last two tiers take 12 and 13.
 _MR_TIERS = (
-    (2_047, (2,)),
     (1_373_653, (2, 3)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
-    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 # Above the last deterministic tier: fixed 25-prime basis (error probability
 # below 4**-25 per composite; fixed so that runs stay deterministic).
@@ -104,14 +109,17 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
+# The primes up to 37 multiplied: one gcd stands for their trial divisions.
+_TRIAL_PRODUCT = math.prod(_SMALL_PRIMES[:12])
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact below 2**16, where it reads the smallest-prime-factor table,
+    and deterministic below 3.3e24 (see _MR_TIERS)."""
+    if n < _fastfactor.SMALL_LIMIT:
+        return n >= 2 and _fastfactor.SMALL_SPF[n] == n
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     for limit, bases in _MR_TIERS:
         if n < limit:
             return _miller_rabin(n, bases)
@@ -557,7 +565,7 @@ def p_adic_valuation(z, p: int) -> int:
     the denominator.  z must be nonzero."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    z = Fraction(z)
-    if z == 0:
+    x, y = Fraction(z).as_integer_ratio()
+    if x == 0:
         raise ValueError("valuation of zero is undefined")
-    return divide_out(z.numerator, p)[1] - divide_out(z.denominator, p)[1]
+    return divide_out(x, p)[1] - divide_out(y, p)[1]

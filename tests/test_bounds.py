@@ -276,6 +276,21 @@ class TestTrace:
         with pytest.raises(IncompleteFactorizationError):
             lemma31_trace(n, 2, partial)
 
+    def test_rejects_an_expansion_of_another_integer(self):
+        n = 2**10 + 2**6 + 1
+        with pytest.raises(ValueError):
+            lemma31_trace(n, 2, factorize(n), decompose(n + 2, 2))
+        with pytest.raises(ValueError):
+            lemma31_trace(n, 2, factorize(n), decompose(n, 3))
+        given = lemma31_trace(n, 2, factorize(n), decompose(n, 2))
+        assert given == lemma31_trace(n, 2, factorize(n))
+
+    def test_memos_are_bounded(self):
+        from smoothdigits import bounds
+
+        for memo in (bounds._term, bounds._log_up, bounds._least_prime):
+            assert memo.cache_info().maxsize is not None
+
     def test_rejects_divisible_by_base(self):
         with pytest.raises(ValueError):
             lemma31_trace(10, 2, factorize(10))
@@ -578,3 +593,27 @@ class TestLogTower:
             t = log_tower(n, depth)
             if t is not None:
                 assert all(math.isfinite(v) for v in t)
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=8),
+)
+def test_rounding_helpers_step_outward(x, factors):
+    # _up and _down move two ulps, _prod_up one ulp after each product:
+    # the certified direction of every bound rests on these counts
+    def steps(v, n, to):
+        for _ in range(n):
+            v = math.nextafter(v, to)
+        return v
+
+    from smoothdigits import bounds
+
+    assert bounds._up(x) == steps(x, 2, math.inf)
+    assert bounds._down(x) == steps(x, 2, -math.inf)
+    if x > 0:
+        assert bounds._log_up(x) == steps(math.log(x), 2, math.inf)
+    product = 1.0
+    for f in factors:
+        product = steps(product * f, 1, math.inf)
+    assert bounds._prod_up(factors) == product

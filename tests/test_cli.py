@@ -214,6 +214,18 @@ class TestTrace:
         assert rec["branch"] == "lambda_u"
         assert rec["p"] == str(B)
 
+    def test_budget_bounds_the_base_factorization(self, tmp_path):
+        # N is a prime of lambda_u shape in base B, so it factors at any
+        # budget, while the p-adic branch needs the least prime of B; rho
+        # does not find 2^31 - 1 in 10 units
+        B = (2**31 - 1) * (2**61 - 1)
+        N = 35 + B**2 + B**3
+        args = ("trace", str(N), "--base", str(B), "--format", "jsonl")
+        run_rejected(tmp_path, "--budget", "10", *args)
+        rec = json.loads(run_cli(*args).stdout.splitlines()[1])
+        assert rec["branch"] == "lambda_u"
+        assert rec["p"] == 2**31 - 1
+
 
 class TestBounds:
     def test_thm11(self):
@@ -269,6 +281,12 @@ class TestBounds:
         )
         rec = json.loads(proc.stdout.splitlines()[1])
         assert rec["value"] > 0
+
+    def test_nkbound_budget_bounds_the_base_factorization(self, tmp_path):
+        args = ("bounds", "nkbound", "--base", str((2**31 - 1) * (2**61 - 1)),
+                "--k", "3", "--primes", "3")
+        run_rejected(tmp_path, "--budget", "10", *args)
+        assert json.loads(run_cli(*args).stdout.splitlines()[1])["value"] > 0
 
     def test_nkbound_base_factorize_leaves_partial(self, tmp_path):
         # two primes near 2^50: the least one is not found within the
@@ -338,6 +356,55 @@ def test_integer_lists_read_scientific_notation(args, plain, scientific, capsys)
     expected = capsys.readouterr().out
     assert main(args.split() + [scientific]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Every integer flag that takes one value, once as a plain integer and once
+# in scientific notation; each subcommand with such flags appears.
+INT_FLAG_ARGS = [
+    ("enum --k 3 --take 5 --base", "10", "1e1"),
+    ("enum --base 10 --take 5 --k", "3", "3e0"),
+    ("trace 1001 --format jsonl --base", "10", "1e1"),
+    ("bounds yu --rationals 2,3 --exponents 1,1 --heights e,3 --bigb 3 --p", "2", "2e0"),
+    ("bounds cor14 --n 18446744073709551617 --nz", "2", "0.2e1"),
+    ("bounds thm11 --u 1e9 --k", "3", "3e0"),
+    ("bounds thm12 --n 18446744073709551617 --k 2 --p-factor 67280421310721 --omega",
+     "2", "2e0"),
+    ("bounds remark45 --n 4097 --p-factor", "241", "2.41e2"),
+    ("bounds nkbound --k 3 --primes 2,3 --base", "10", "1e1"),
+    ("survey sparse --k 3 --count 5 --base", "10", "1e1"),
+    ("survey sparse --base 10 --count 5 --k", "3", "3e0"),
+    ("survey sparse --base 10 --k 3 --count", "5", "5e0"),
+    ("survey stewart --base 3 --end 20 --a", "2", "2e0"),
+    ("survey stewart --a 2 --end 20 --base", "10", "1e1"),
+    ("survey stewart --a 2 --base 3 --end 20 --start", "10", "1e1"),
+    ("survey stewart --a 2 --base 3 --end", "20", "2e1"),
+    ("cyclo --format jsonl --n", "10", "1e1"),
+    ("search --k 2 --primes 3,7 --limit 1e6 --base", "10", "1e1"),
+    ("search --base 10 --primes 3,7 --limit 1e6 --k", "2", "2e0"),
+]
+
+
+@pytest.mark.parametrize("args, plain, scientific", INT_FLAG_ARGS)
+def test_integer_flags_read_scientific_notation(args, plain, scientific, capsys):
+    status = main(args.split() + [plain])
+    expected = capsys.readouterr()
+    assert status == 0
+    assert main(args.split() + [scientific]) == status
+    assert capsys.readouterr() == expected
+
+
+# One integer flag per subcommand, given a value that is not an integer.
+@pytest.mark.parametrize("args", [
+    "enum --k 3 --take 5 --base 1.5",
+    "trace 1001 --base 1.5",
+    "bounds thm11 --u 1e9 --k 1.5",
+    "survey sparse --base 10 --k 3 --count 1.5",
+    "survey stewart --a 2 --base 3 --end 1.5",
+    "cyclo --n 1.5",
+    "search --base 10 --primes 3,7 --limit 1e6 --k 1.5",
+])
+def test_non_integer_flag_rejected(args, tmp_path):
+    run_rejected(tmp_path, *args.split())
 
 
 @pytest.mark.parametrize("args", [

@@ -90,6 +90,35 @@ class TestSparseSurvey:
         recs = list(sparse_survey(3, 5, budget_fn=constant_budget(1)))
         assert [r.value for r in recs] == [1, 2]
 
+    @pytest.mark.parametrize("base, count", [(10, 2000), (2, 300)])
+    def test_trace_summary_matches_a_direct_trace(self, base, count):
+        # The survey hands lemma31_trace its expansion and fills the trace
+        # memos; a direct trace, which decomposes afresh, must agree with
+        # every record, from cold memos and from warm ones.
+        from smoothdigits import bounds, cli
+        from smoothdigits.digits import decompose
+
+        for memo in (bounds._term, bounds._log_up, bounds._least_prime):
+            memo.cache_clear()
+        for _ in ("cold", "warm"):
+            traced = 0
+            for rec in sparse_survey(base, count, k=3):
+                summary = (rec.trace_branch, rec.trace_rows_ok, rec.trace_size_condition)
+                if rec.nz < 2:
+                    assert summary == (None, None, None)
+                    continue
+                fact = factorize(rec.value)
+                report = bounds.lemma31_trace(rec.value, base, fact)
+                assert summary == (
+                    report.branch, report.expected_rows_hold, report.size_condition_met
+                ), rec.value
+                given = bounds.lemma31_trace(
+                    rec.value, base, fact, decompose(rec.value, base)
+                )
+                assert cli._trace_dict(given) == cli._trace_dict(report)
+                traced += 1
+            assert traced == count - (base - 1)  # all but the one-digit values
+
     def test_window_minima(self):
         recs = list(sparse_survey(2, 10, k=2))
         stats = window_minima(recs)

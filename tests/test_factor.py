@@ -59,6 +59,40 @@ class TestPrimality:
         assert not is_prime(561)  # Carmichael
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
+    def test_matches_sympy_through_the_table(self):
+        # below 2**16 is_prime reads the smallest-prime-factor table; the
+        # last 64 values take Miller-Rabin
+        sympy = pytest.importorskip("sympy")
+        for n in range(-2, 2**16 + 64):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([limit for limit, _ in factor._MR_TIERS]),
+        st.integers(min_value=-(10**4), max_value=10**4),
+    )
+    def test_matches_sympy_near_each_tier_limit(self, limit, offset):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(limit + offset) == sympy.isprime(limit + offset)
+
+    def test_jaeschke_tier(self):
+        assert (4_759_123_141, (2, 7, 61)) in factor._MR_TIERS
+        # 4759123141 = 48781 * 97561 is the least strong pseudoprime to the
+        # bases 2, 7 and 61, so it falls to the next tier
+        assert not is_prime(4_759_123_141)
+
+    # The last two are strong pseudoprimes to the first 11 and the first 12
+    # primes, which a tier with one base too few called prime.
+    @pytest.mark.parametrize("n", [
+        2047, 3277, 4033, 4681, 8321, 3_215_031_751,
+        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    ])
+    def test_base_2_strong_pseudoprimes(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert not sympy.isprime(n)
+        assert factor._miller_rabin(n, (2,))  # the base-2 test alone is fooled
+        assert not is_prime(n)
+
 
 class TestFactorize:
     def test_examples(self):
@@ -70,6 +104,16 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_strong_pseudoprimes_are_split(self):
+        # each fools the first 11 (12) prime bases, so a Miller-Rabin tier
+        # one base short reported it as a prime factor of itself
+        assert factorize(3_825_123_056_546_413_051).pairs == (
+            (149491, 1), (747451, 1), (34233211, 1)
+        )
+        assert factorize(318_665_857_834_031_151_167_461).pairs == (
+            (399165290221, 1), (798330580441, 1)
+        )
 
     def test_matches_oracle_window(self):
         for n in range(1, 20000):
