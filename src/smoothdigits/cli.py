@@ -54,6 +54,8 @@ def _flatten_for_csv(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
+        if value and isinstance(value[0], dict):
+            return json.dumps(value)  # the text of the JSONL record
         return ";".join(
             "^".join(str(x) for x in item) if isinstance(item, list) else str(item)
             for item in value
@@ -133,6 +135,17 @@ def _output(path):
     else:
         with open(path, "w", newline="") as out:
             yield out
+
+
+def _write_records(args, records) -> int:
+    """Write records, an iterable of dicts, to the data stream in
+    args.format, jsonl or csv; return how many were written."""
+    count = 0
+    with _output(args.output) as out:
+        writer = RecordWriter(args.format, out)
+        for count, record in enumerate(records, start=1):
+            writer.write(record)
+    return count
 
 
 def _int_arg(text: str) -> int:
@@ -226,26 +239,24 @@ def _cmd_enum(args) -> int:
         stream = qmod.smooth_sequence(args.primes, args.limit)
 
     stream = islice(stream, args.take)
+    if args.format != "lines":
+        _write_records(args, ({"j": j, "value": v} for j, v in enumerate(stream, start=1)))
+        return EXIT_OK
     with _output(args.output) as out:
-        if args.format == "lines":
-            for v in stream:
-                print(v, file=out)
-        else:
-            writer = RecordWriter(args.format, out)
-            for j, v in enumerate(stream, start=1):
-                writer.write({"j": j, "value": v})
+        for v in stream:
+            print(v, file=out)
     return EXIT_OK
 
 
 def _cmd_factor(args) -> int:
-    partial = False
-    with _output(args.output) as out:
-        writer = RecordWriter(args.format, out)
+    complete = []
+
+    def records():
         for n in args.n:
             fact = factorize(n, args.budget)
-            partial = partial or not fact.complete
+            complete.append(fact.complete)
             P, omega, Q = fact.summary()
-            writer.write({
+            yield {
                 "n": n,
                 "factors": fact.pairs,
                 "cofactor": fact.cofactor,
@@ -253,8 +264,10 @@ def _cmd_factor(args) -> int:
                 "P": P,
                 "omega": omega,
                 "Q": Q,
-            })
-    return EXIT_PARTIAL if partial else EXIT_OK
+            }
+
+    _write_records(args, records())
+    return EXIT_OK if all(complete) else EXIT_PARTIAL
 
 
 def _trace_dict(report) -> dict:
@@ -287,106 +300,79 @@ def _cmd_trace(args) -> int:
             f"raise --budget to trace it"
         )
     report = bmod.lemma31_trace(args.n, args.base, fact, budget=args.budget)
+    if args.format == "jsonl":
+        _write_records(args, [_trace_dict(report)])
+        return EXIT_OK
+    lam = report.lambda_value
     with _output(args.output) as out:
-        if args.format == "jsonl":
-            writer = RecordWriter("jsonl", out)
-            writer.write(_trace_dict(report))
-        else:
-            lam = report.lambda_value
-            print(f"N = {args.n} (base {args.base})", file=out)
-            print(
-                f"branch = {report.branch}   k = {report.k}   k* = {report.k_star}",
-                file=out,
-            )
-            if report.branch == "lambda_u":
-                print(f"ell = {report.ell}   p = {report.p}   v_p = {report.valuation}", file=out)
-            print(f"linear form value = {lam.numerator}/{lam.denominator}", file=out)
-            print(f"size condition met: {report.size_condition_met}", file=out)
-            for r in report.rows:
-                mark = "ok" if r.holds else "FAIL"
-                note = f" ({r.note})" if r.note else ""
-                print(
-                    f"  [{mark}] row {r.label}{note}: lhs={r.lhs:.6g} rhs={r.rhs:.6g}",
-                    file=out,
-                )
+        print(f"N = {args.n} (base {args.base})", file=out)
+        print(f"branch = {report.branch}   k = {report.k}   k* = {report.k_star}", file=out)
+        if report.branch == "lambda_u":
+            print(f"ell = {report.ell}   p = {report.p}   v_p = {report.valuation}", file=out)
+        print(f"linear form value = {lam.numerator}/{lam.denominator}", file=out)
+        print(f"size condition met: {report.size_condition_met}", file=out)
+        for r in report.rows:
+            mark = "ok" if r.holds else "FAIL"
+            note = f" ({r.note})" if r.note else ""
+            print(f"  [{mark}] row {r.label}{note}: lhs={r.lhs:.6g} rhs={r.rhs:.6g}", file=out)
     return EXIT_OK
 
 
-# Each bounds operation and the flags it cannot run without, by dest name.
-_BOUNDS_REQUIRED = {
-    "matveev": ("rationals", "exponents", "heights", "bigb"),
-    "yu": ("rationals", "exponents", "heights", "bigb", "p"),
-    "thm11": ("u", "k"),
-    "thm12": ("n", "k", "p_factor", "omega"),
-    "psi": ("u", "f_value"),
-    "thm13": ("u", "f_value", "delta0"),
-    "cor14": ("n", "nz"),
-    "cor15": ("n",),
-    "thm41": ("v", "k"),
-    "remark45": ("n", "p_factor"),
-    "nkbound": ("k", "primes"),
+def _bound_input(args) -> bmod.BoundInput:
+    return bmod.BoundInput(
+        rationals=_parse_fraction_list(args.rationals),
+        exponents=args.exponents,
+        heights=_parse_float_list(args.heights),
+        exponent_bound=args.bigb,
+        assume_product_nontrivial=args.assume_nontrivial,
+    )
+
+
+def _thm12_record(args) -> dict:
+    if args.c is None and args.big_c is None:
+        c, big_c = bmod.thm12_default_constants(args.base, args.budget)
+    elif args.c is None or args.big_c is None:
+        missing = "--c" if args.c is None else "--big-c"
+        raise ValueError(f"bounds thm12 needs {missing} as well: give both or neither")
+    else:
+        c, big_c = args.c, args.big_c
+    params = bmod.ThresholdParams(c_thm12=c, C_thm12=big_c)
+    gap = bmod.thm12_gap(args.n, args.k, args.p_factor, args.omega, params)
+    return {"c": c, "C": big_c, "gap": gap, "holds": gap >= 0}
+
+
+_FORM_FLAGS = ("rationals", "exponents", "heights", "bigb")
+
+# Each bounds operation: the flags it cannot run without, by dest name, and
+# the builder of its record's fields after "op".
+_BOUNDS = {
+    "matveev": (_FORM_FLAGS, lambda a: {"value": bmod.matveev_lower_bound(_bound_input(a))}),
+    "yu": (_FORM_FLAGS + ("p",),
+           lambda a: {"p": a.p, "value": bmod.yu_valuation_bound(_bound_input(a), a.p)}),
+    "thm11": (("u", "k"), lambda a: {"value": bmod.thm11_threshold(a.u, a.k, a.eps)}),
+    "thm12": (("n", "k", "p_factor", "omega"), _thm12_record),
+    "psi": (("u", "f_value"), lambda a: {"value": bmod.psi(a.u, a.f_value)}),
+    "thm13": (("u", "f_value", "delta0"),
+              lambda a: {"value": bmod.thm13_threshold(a.u, a.f_value, a.delta0, a.eps)}),
+    "cor14": (("n", "nz"), lambda a: {"rows": [vars(r) for r in bmod.cor14_check(a.n, a.nz)]}),
+    "cor15": (("n",), lambda a: {"value": bmod.cor15_threshold(a.n, a.eps)}),
+    "thm41": (("v", "k"), lambda a: {"value": bmod.thm41_threshold(a.v, a.k, a.eps)}),
+    "remark45": (
+        ("n", "p_factor"),
+        lambda a: {"value": bmod.remark45_check(a.n, a.p_factor, 1.0 if a.c is None else a.c)},
+    ),
+    "nkbound": (("k", "primes"),
+                lambda a: {"value": bmod.lemma31_nk_bound(a.base, a.k, a.primes, a.budget)}),
 }
 
 
-def _bounds_record(args) -> dict:
-    op = args.op
-    if op == "matveev" or op == "yu":
-        rationals = _parse_fraction_list(args.rationals)
-        inp = bmod.BoundInput(
-            rationals=rationals,
-            exponents=args.exponents,
-            heights=_parse_float_list(args.heights),
-            exponent_bound=args.bigb,
-            assume_product_nontrivial=args.assume_nontrivial,
-        )
-        if op == "matveev":
-            return {"op": op, "value": bmod.matveev_lower_bound(inp)}
-        return {"op": op, "p": args.p, "value": bmod.yu_valuation_bound(inp, args.p)}
-    if op == "thm11":
-        return {"op": op, "value": bmod.thm11_threshold(args.u, args.k, args.eps)}
-    if op == "thm12":
-        if args.c is None and args.big_c is None:
-            c, big_c = bmod.thm12_default_constants(args.base, args.budget)
-        elif args.c is None or args.big_c is None:
-            missing = "--c" if args.c is None else "--big-c"
-            raise ValueError(f"bounds thm12 needs {missing} as well: give both or neither")
-        else:
-            c, big_c = args.c, args.big_c
-        params = bmod.ThresholdParams(c_thm12=c, C_thm12=big_c)
-        gap = bmod.thm12_gap(args.n, args.k, args.p_factor, args.omega, params)
-        return {"op": op, "c": c, "C": big_c, "gap": gap, "holds": gap >= 0}
-    if op == "psi":
-        return {"op": op, "value": bmod.psi(args.u, args.f_value)}
-    if op == "thm13":
-        return {
-            "op": op,
-            "value": bmod.thm13_threshold(args.u, args.f_value, args.delta0, args.eps),
-        }
-    if op == "cor14":
-        rows = bmod.cor14_check(args.n, args.nz)
-        return {"op": op, "rows": [vars(r) for r in rows]}
-    if op == "cor15":
-        return {"op": op, "value": bmod.cor15_threshold(args.n, args.eps)}
-    if op == "thm41":
-        return {"op": op, "value": bmod.thm41_threshold(args.v, args.k, args.eps)}
-    if op == "remark45":
-        c = 1.0 if args.c is None else args.c
-        return {"op": op, "value": bmod.remark45_check(args.n, args.p_factor, c)}
-    if op == "nkbound":
-        value = bmod.lemma31_nk_bound(args.base, args.k, args.primes, args.budget)
-        return {"op": op, "value": value}
-    raise ValueError(f"unknown bounds operation {op}")  # pragma: no cover
-
-
 def _cmd_bounds(args) -> int:
-    for dest in _BOUNDS_REQUIRED[args.op]:
+    required, build = _BOUNDS[args.op]
+    for dest in required:
         if getattr(args, dest) is None:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"bounds {args.op} needs {flag}")
-    record = _bounds_record(args)
-    with _output(args.output) as out:
-        writer = RecordWriter(args.format, out)
-        writer.write(record)
+    _write_records(args, [{"op": args.op, **build(args)}])
     return EXIT_OK
 
 
@@ -406,11 +392,13 @@ def _cmd_survey_sparse(args) -> int:
         workers=args.threads,
     )
     seen = []
-    with _output(args.output) as out:
-        writer = RecordWriter(args.format, out)
+
+    def dicts():
         for rec in records:
-            writer.write(xmod.survey_record_dict(rec))
             seen.append(_Seen(rec.j, rec.P))
+            yield xmod.survey_record_dict(rec)
+
+    _write_records(args, dicts())
     stats = xmod.window_minima(seen)
     for st in stats:
         print(
@@ -424,51 +412,48 @@ def _cmd_survey_sparse(args) -> int:
 
 def _cmd_survey_stewart(args) -> int:
     rows = xmod.stewart_survey(args.a, args.base, (args.start, args.end))
-    with _output(args.output) as out:
-        writer = RecordWriter(args.format, out)
-        for row in rows:
-            writer.write(xmod.stewart_row_dict(row))
+    _write_records(args, map(xmod.stewart_row_dict, rows))
     return EXIT_OK
 
 
 def _cmd_cyclo(args) -> int:
     report = xmod.cyclotomic_smooth(args.n, args.budget)
+    status = EXIT_OK if report.complete else EXIT_PARTIAL
+    if args.format != "text":
+        _write_records(args, [vars(report)])
+        return status
     with _output(args.output) as out:
-        if args.format in ("jsonl", "csv"):
-            writer = RecordWriter(args.format, out)
-            writer.write(vars(report))
+        print(f"N = 2^{args.n} + 1 = {report.N}", file=out)
+        for d, value in report.parts:
+            print(f"  Phi_{d}(2) = {value}", file=out)
+        print(f"product check: {'OK' if report.identity_ok else 'MISMATCH'}", file=out)
+        if report.complete:
+            factors = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in report.factors)
+            print(f"factorization: {factors}", file=out)
+            print(f"P[N] = {report.P}", file=out)
+            print(f"smallest passing smoothness scale c = {report.min_c}", file=out)
         else:
-            print(f"N = 2^{args.n} + 1 = {report.N}", file=out)
-            for d, value in report.parts:
-                print(f"  Phi_{d}(2) = {value}", file=out)
-            print(f"product check: {'OK' if report.identity_ok else 'MISMATCH'}", file=out)
-            if report.complete:
-                factors = " * ".join(
-                    f"{p}^{e}" if e > 1 else str(p) for p, e in report.factors
-                )
-                print(f"factorization: {factors}", file=out)
-                print(f"P[N] = {report.P}", file=out)
-                print(f"smallest passing smoothness scale c = {report.min_c}", file=out)
-            else:
-                print(f"factorization incomplete; composite cofactor {report.cofactor}", file=out)
-    return EXIT_OK if report.complete else EXIT_PARTIAL
+            print(f"factorization incomplete; composite cofactor {report.cofactor}", file=out)
+    return status
 
 
 def _cmd_search(args) -> int:
-    hits = xmod.smooth_sparse_search(
-        args.base, args.k, args.primes, args.limit, eps=args.eps
-    )
-    count = 0
-    with _output(args.output) as out:
-        writer = RecordWriter(args.format, out)
-        for count, hit in enumerate(hits, start=1):
-            writer.write(xmod.search_hit_dict(hit))
+    hits = xmod.smooth_sparse_search(args.base, args.k, args.primes, args.limit, eps=args.eps)
+    count = _write_records(args, map(xmod.search_hit_dict, hits))
     print(f"# {count} hit(s)", file=sys.stderr)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _record_options(parser, formats, handler):
+    """The options each subcommand ends with: --format, one of formats and
+    the first by default, and --output; and the handler that runs it."""
+    parser.add_argument("--format", choices=formats, default=formats[0])
+    parser.add_argument("--output")
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,25 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--limit", type=_int_arg, help="value cutoff for smooth streams")
     p_enum.add_argument("--take", type=_int_at_least(0), help="stop after this many terms")
     p_enum.add_argument("--max-value", type=_int_arg, help="stop when values exceed this")
-    p_enum.add_argument("--format", choices=["lines", "jsonl", "csv"], default="lines")
-    p_enum.add_argument("--output")
-    p_enum.set_defaults(handler=_cmd_enum)
+    _record_options(p_enum, ["lines", "jsonl", "csv"], _cmd_enum)
 
     p_factor = sub.add_parser("factor", help="factor integers")
     p_factor.add_argument("n", type=_int_at_least(1), nargs="+")
-    p_factor.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_factor.add_argument("--output")
-    p_factor.set_defaults(handler=_cmd_factor)
+    _record_options(p_factor, ["jsonl", "csv"], _cmd_factor)
 
     p_trace = sub.add_parser("trace", help="proof-inequality trace for one integer")
     p_trace.add_argument("n", type=_int_arg)
     p_trace.add_argument("--base", type=_int_arg, default=2)
-    p_trace.add_argument("--format", choices=["text", "jsonl"], default="text")
-    p_trace.add_argument("--output")
-    p_trace.set_defaults(handler=_cmd_trace)
+    _record_options(p_trace, ["text", "jsonl"], _cmd_trace)
 
     p_bounds = sub.add_parser("bounds", help="bound and threshold calculators")
-    p_bounds.add_argument("op", choices=list(_BOUNDS_REQUIRED))
+    p_bounds.add_argument("op", choices=list(_BOUNDS))
     p_bounds.add_argument("--rationals", help="comma-separated, e.g. 2,3/2")
     p_bounds.add_argument("--exponents", type=_int_list_arg, help="comma-separated integers")
     p_bounds.add_argument("--heights", help="comma-separated reals; 'e' allowed")
@@ -540,9 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--p-factor", type=_int_arg)
     p_bounds.add_argument("--base", type=_int_arg, default=2)
     p_bounds.add_argument("--primes", type=_int_list_arg)
-    p_bounds.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_bounds.add_argument("--output")
-    p_bounds.set_defaults(handler=_cmd_bounds)
+    _record_options(p_bounds, ["jsonl", "csv"], _cmd_bounds)
 
     p_survey = sub.add_parser("survey", help="batch surveys")
     survey_sub = p_survey.add_subparsers(dest="survey_kind", required=True)
@@ -554,24 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparse.add_argument("--count", type=_int_arg, required=True)
     p_sparse.add_argument("--eps", type=_real_arg, default=0.0)
     p_sparse.add_argument("--max-value", type=_int_arg)
-    p_sparse.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_sparse.add_argument("--output")
-    p_sparse.set_defaults(handler=_cmd_survey_sparse)
+    _record_options(p_sparse, ["jsonl", "csv"], _cmd_survey_sparse)
 
     p_stewart = survey_sub.add_parser("stewart", help="digit counts of a**n")
     p_stewart.add_argument("--a", type=_int_arg, required=True)
     p_stewart.add_argument("--base", type=_int_arg, required=True)
     p_stewart.add_argument("--start", type=_int_arg, default=3)
     p_stewart.add_argument("--end", type=_int_arg, required=True)
-    p_stewart.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_stewart.add_argument("--output")
-    p_stewart.set_defaults(handler=_cmd_survey_stewart)
+    _record_options(p_stewart, ["jsonl", "csv"], _cmd_survey_stewart)
 
     p_cyclo = sub.add_parser("cyclo", help="cyclotomic construction of 2^n + 1")
     p_cyclo.add_argument("--n", type=_int_arg, required=True)
-    p_cyclo.add_argument("--format", choices=["text", "jsonl", "csv"], default="text")
-    p_cyclo.add_argument("--output")
-    p_cyclo.set_defaults(handler=_cmd_cyclo)
+    _record_options(p_cyclo, ["text", "jsonl", "csv"], _cmd_cyclo)
 
     p_search = sub.add_parser("search", help="smooth integers with few nonzero digits")
     p_search.add_argument("--base", type=_int_arg, required=True)
@@ -579,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--primes", type=_int_list_arg, required=True)
     p_search.add_argument("--limit", type=_int_arg, required=True)
     p_search.add_argument("--eps", type=_real_arg, default=0.0)
-    p_search.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_search.add_argument("--output")
-    p_search.set_defaults(handler=_cmd_search)
+    _record_options(p_search, ["jsonl", "csv"], _cmd_search)
 
     return parser
 

@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 from .digits import decompose, nz_count, power_nz_counts
 from .factor import (
     DEFAULT_BUDGET,
-    PrimeSet,
     _as_prime_set,
     _divisors,
     _primitive_power,
@@ -172,22 +171,24 @@ def sparse_survey(
 
 def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        if pool is None:
-            facts = _factor_in_batches(values, factor_budget)
-        else:
-            facts = pool.map(factorize, values, repeat(factor_budget), chunksize=16)
+        facts = _factor_in_batches(values, factor_budget, pool)
         for j, fact in enumerate(facts, start=1):
             yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
 
 
-def _factor_in_batches(values, budget):
+def _factor_in_batches(values, budget, pool):
     """factorize over values, a batch of 1, 2, 4, ... up to 256 values at a
-    time: records built after a whole batch run faster than records
-    interleaved with each call, and the first still follows one call."""
+    time, in this process or, given a pool, on its workers: records built
+    after a whole batch run faster than records interleaved with each call,
+    the first still follows one call, and no more than one batch is drawn
+    ahead of the records."""
     values = iter(values)
     size = 1
     while batch := list(islice(values, size)):
-        yield from [factorize(v, budget) for v in batch]
+        if pool is None:
+            yield from [factorize(v, budget) for v in batch]
+        else:
+            yield from pool.map(factorize, batch, repeat(budget), chunksize=16)
         size = min(2 * size, 256)
 
 

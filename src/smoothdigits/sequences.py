@@ -14,7 +14,7 @@ from itertools import combinations, islice, product
 from typing import Callable, Iterator, Optional
 
 from .digits import nz_count
-from .factor import PrimeSet, _as_prime_set
+from .factor import _as_prime_set
 
 __all__ = [
     "PowerSumSpec",
@@ -219,8 +219,9 @@ class PowerSumSpec:
     def __post_init__(self):
         if len(self.bases) < 2:
             raise ValueError("need at least two bases")
-        if any(a < 1 for a in self.bases):
-            raise ValueError("bases must be positive")
+        # a base of 1 adds no growth: the stream would repeat one value forever
+        if any(a < 2 for a in self.bases):
+            raise ValueError(f"bases must be >= 2, got {self.bases}")
         if self.shared_divisor_check and math.gcd(*self.bases) < 2:
             raise ValueError(
                 f"bases {self.bases} have no common divisor >= 2"

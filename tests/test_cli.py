@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from smoothdigits.cli import EXIT_CLOSED_PIPE, main
+from smoothdigits import bounds as bmod
+from smoothdigits.cli import EXIT_CLOSED_PIPE, RecordWriter, main
+from smoothdigits.factor import DEFAULT_BUDGET
 
 RUN = [sys.executable, "-m", "smoothdigits"]
 
@@ -94,6 +99,21 @@ class TestEnum:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "finite" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        "--bases 1,2 --no-gcd-check --take 3",
+        "--bases 2,1 --no-gcd-check --max-value 100",
+    ])
+    def test_powersum_base_below_two_rejected(self, args):
+        # 1**n adds no growth; such a stream used to repeat one value
+        # forever, hence the timeout
+        proc = subprocess.run(
+            RUN + ["enum", "--kind", "powersum"] + args.split(),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "bases must be >= 2" in proc.stderr
 
     def test_big_values_serialized_as_strings(self):
         proc = run_cli(
@@ -313,6 +333,57 @@ class TestBounds:
     def test_nkbound_primes_in_any_order(self):
         args = ["bounds", "nkbound", "--base", "10", "--k", "3", "--primes"]
         assert run_cli(*args, "3,2").stdout == run_cli(*args, "2,3").stdout
+
+    def test_cor14_csv_rows_cell_is_the_jsonl_rows(self):
+        args = ["bounds", "cor14", "--n", "18446744073709551617", "--nz", "2"]
+        rec = json.loads(run_cli(*args).stdout.splitlines()[1])
+        row = next(csv.DictReader(io.StringIO(run_cli(*args, "--format", "csv").stdout)))
+        assert json.loads(row["rows"]) == rec["rows"]
+        assert len(rec["rows"]) == 3
+
+
+def _readme_bounds_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split()[2:] for line in readme.splitlines()
+            if line.startswith("smoothdigits bounds ")]
+
+
+def _bounds_by_api(op):
+    """The record of the README example of op, from the bounds functions."""
+    n64 = 2**64 + 1
+    form = bmod.BoundInput(rationals=(Fraction(2), Fraction(3)), exponents=(1, 1),
+                           heights=(math.e, 3.0), exponent_bound=3.0)
+    if op == "thm12":
+        c, big_c = bmod.thm12_default_constants(2, DEFAULT_BUDGET)
+        params = bmod.ThresholdParams(c_thm12=c, C_thm12=big_c)
+        gap = bmod.thm12_gap(n64, 2, 67280421310721, 2, params)
+        return {"op": op, "c": c, "C": big_c, "gap": gap, "holds": gap >= 0}
+    if op == "yu":
+        return {"op": op, "p": 2, "value": bmod.yu_valuation_bound(form, 2)}
+    if op == "cor14":
+        return {"op": op, "rows": [vars(r) for r in bmod.cor14_check(n64, 2)]}
+    value = {
+        "matveev": lambda: bmod.matveev_lower_bound(form),
+        "thm11": lambda: bmod.thm11_threshold(1e9, 3, 0.0),
+        "cor15": lambda: bmod.cor15_threshold(10**9, 0.0),
+        "thm41": lambda: bmod.thm41_threshold(1e9, 2, 0.0),
+        "remark45": lambda: bmod.remark45_check(4097, 241, 0.5),
+        "psi": lambda: bmod.psi(1e9, 2.0),
+        "thm13": lambda: bmod.thm13_threshold(1e9, 0.2, 1.0, 0.0),
+        "nkbound": lambda: bmod.lemma31_nk_bound(2, 3, (2, 3, 5), DEFAULT_BUDGET),
+    }[op]()
+    return {"op": op, "value": value}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_readme_bounds_examples_match_the_api(fmt, capsys):
+    examples = _readme_bounds_examples()
+    assert sorted(args[0] for args in examples) == sorted(BOUNDS_EXAMPLES)
+    for args in examples:
+        expected = io.StringIO()
+        RecordWriter(fmt, expected).write(_bounds_by_api(args[0]))
+        assert main(["bounds"] + args + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == expected.getvalue(), args
 
 
 # Flags that take a real number, each given a value that is not finite.

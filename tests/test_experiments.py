@@ -71,9 +71,27 @@ class TestSparseSurvey:
             assert "thm13" in rec.thresholds
 
     def test_workers_match_sequential(self):
-        seq = [survey_record_dict(r) for r in sparse_survey(2, 12, k=3)]
-        par = [survey_record_dict(r) for r in sparse_survey(2, 12, k=3, workers=2)]
+        # 700 values cross the cap of 256 on a batch
+        seq = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3)]
+        par = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3, workers=2)]
         assert seq == par
+
+    def test_workers_draw_one_value_before_the_first_record(self, monkeypatch):
+        from smoothdigits import experiments
+
+        drawn = []
+        real = experiments.sparse_sequence
+
+        def counting(*args, **kwargs):
+            for v in real(*args, **kwargs):
+                drawn.append(v)
+                yield v
+
+        monkeypatch.setattr(experiments, "sparse_sequence", counting)
+        records = sparse_survey(2, 5000, k=3, workers=2)
+        assert next(records).j == 1
+        assert len(drawn) <= 1
+        records.close()
 
     @pytest.mark.parametrize(
         "count,kwargs",

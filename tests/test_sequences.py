@@ -167,6 +167,12 @@ class TestPowerSum:
             PowerSumSpec(bases=(2, 3))
         PowerSumSpec(bases=(2, 3), shared_divisor_check=False)
 
+    @pytest.mark.parametrize("bases", [(1, 2), (2, 1), (2, 0)])
+    def test_base_below_two_rejected(self, bases):
+        # 1**n adds no growth: the stream would repeat one value forever
+        with pytest.raises(ValueError):
+            PowerSumSpec(bases=bases, shared_divisor_check=False)
+
     def test_residue_invariant(self):
         spec = PowerSumSpec(bases=(6, 10, 14))
         g = math.gcd(6, 10, 14)
