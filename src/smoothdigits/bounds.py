@@ -601,14 +601,20 @@ def thm13_threshold(
     u, f_value: float, delta0: float, eps: float = 0.0
 ) -> Optional[float]:
     """(delta0 - eps) * Psi * (log Psi / loglog Psi) with
-    Psi = loglog(u)/f_value; None when Psi <= e (loglog Psi would not be
-    positive).  A nonpositive result (eps >= delta0) is returned as-is:
+    Psi = loglog(u)/f_value; None when loglog u or loglog Psi is not
+    positive.  A nonpositive result (eps >= delta0) is returned as-is:
     the threshold degenerates but stays well defined."""
-    value = psi(u, f_value)
-    if value <= E:
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    if f_value <= 0:
+        raise ValueError("f_value must be positive")
+    tower = log_tower(u, 2)
+    value = None if tower is None else tower[1] / f_value
+    tower = None if value is None else log_tower(value, 2)
+    if tower is None:
         return None
-    lp = math.log(value)
-    return (delta0 - eps) * value * (lp / math.log(lp))
+    lp, llp = tower
+    return (delta0 - eps) * value * (lp / llp)
 
 
 @dataclass(frozen=True)

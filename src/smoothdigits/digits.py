@@ -69,9 +69,6 @@ class DigitExpansion:
     def top_exponent(self) -> int:
         return self.terms[-1][0]
 
-    def value(self) -> int:
-        return recompose(self)
-
 
 def decompose(n: int, base: int) -> DigitExpansion:
     """Sparse base-`base` expansion of a positive integer.

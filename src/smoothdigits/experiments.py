@@ -29,6 +29,7 @@ from .bounds import (
     cor15_threshold,
     lemma31_trace,
     log_tower,
+    remark45_check,
     thm11_threshold,
     thm13_threshold,
 )
@@ -97,10 +98,9 @@ def _survey_record(j, value, base, k, fact, eps, budget_fn) -> SurveyRecord:
     thresholds["cor15"] = t15
     thresholds["cor15_exceeded"] = None if t15 is None else bool(nz > t15)
     if budget_fn is not None:
-        if budget_fn.delta0 is None or value < 3:
-            t13 = None
-        else:
-            t13 = thm13_threshold(value, budget_fn(value), budget_fn.delta0, eps)
+        t13 = None if budget_fn.delta0 is None else thm13_threshold(
+            value, budget_fn(value), budget_fn.delta0, eps
+        )
         thresholds["thm13"] = t13
         thresholds["thm13_exceeded"] = (
             None if (t13 is None or p_max is None) else bool(p_max > t13)
@@ -294,8 +294,8 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
     report `factorize(2**n + 1, factor_budget)`, which splits N into those
     parts (and Aurifeuillian halves) before it factors them.
 
-    min_c is the smallest exponent scale for which the smoothness check
-    log P <= c * log N / logloglog N passes; None when N is too small for
+    min_c is the smallest scale c for which remark45_check(N, P, c),
+    log P <= c * log N / logloglog N, passes; None when N is too small for
     the triple logarithm or the factorization is incomplete.
     """
     if n < 1:
@@ -313,8 +313,10 @@ def cyclotomic_smooth(n: int, factor_budget: int = DEFAULT_BUDGET) -> Cyclotomic
         tower = log_tower(N, 3)
         if tower is not None:
             l1, _, l3 = tower
-            # smallest c passing the check, nudged up so it still passes
+            # the scale that solves the check, nudged up until it passes
             min_c = math.nextafter(math.log(p_max) * l3 / l1, math.inf)
+            while not remark45_check(N, p_max, min_c):
+                min_c = math.nextafter(min_c, math.inf)
     return CyclotomicReport(
         n=n,
         N=N,

@@ -10,9 +10,10 @@ ends by itself once its digit budget stays below two digits.
 import math
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import combinations, islice, product
+from itertools import combinations, count, islice, product
 from typing import Callable, Iterator, Optional
 
+from .bounds import log_tower
 from .digits import nz_count
 from .factor import _as_prime_set
 
@@ -75,9 +76,8 @@ def loglog_budget(c: float) -> DigitBudget:
         raise ValueError("scale must be positive")
 
     def fn(n: int) -> float:
-        if n < 16:
-            return 1.0
-        return max(1.0, c * math.log(math.log(n)))
+        tower = log_tower(n, 2)
+        return 1.0 if tower is None else max(1.0, c * tower[1])
 
     def peak(lo: int, hi: Optional[int]) -> float:
         return math.inf if hi is None else fn(hi)  # fn never decreases
@@ -85,18 +85,22 @@ def loglog_budget(c: float) -> DigitBudget:
     return DigitBudget(name=f"loglog:{c:g}", fn=fn, delta0=None, peak=peak)
 
 
+# The least n with loglogloglog n > 0, the first integer above e^(e^e);
+# f of sqrt_budget is 1 below it.
+_SQRT_START = next(n for n in count(math.floor(math.exp(math.exp(math.e)))) if log_tower(n, 4))
+
+
 def sqrt_budget(c: float) -> DigitBudget:
     """f(n) = max(1, c*sqrt(loglog n * logloglog n / loglogloglog n))."""
     if c <= 0:
         raise ValueError("scale must be positive")
-    start = 3814281  # f is 1 below start; from it on loglogloglog n > 0
+    start = _SQRT_START
 
     def fn(n: int) -> float:
-        if n < start:
+        tower = log_tower(n, 4)
+        if tower is None:
             return 1.0
-        l2 = math.log(math.log(n))
-        l3 = math.log(l2)
-        l4 = math.log(l3)
+        _, l2, l3, l4 = tower
         return max(1.0, c * math.sqrt(l2 * l3 / l4))
 
     def peak(lo: int, hi: Optional[int]) -> float:

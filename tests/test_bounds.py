@@ -595,6 +595,68 @@ class TestLogTower:
                 assert all(math.isfinite(v) for v in t)
 
 
+# Where loglog, logloglog and loglogloglog turn positive: just above e, e^e
+# and e^(e^e).
+_EDGE_INTS = [n for c in (3, 16, 3814280) for n in range(c - 2, c + 3)]
+_EDGE_FLOATS = [
+    x
+    for c in (E, math.exp(E), math.exp(math.exp(E)))
+    for x in (math.nextafter(c, 0), c, math.nextafter(c, math.inf))
+]
+# loglog(1e9) / f for these f is e + 1 ulp, e and e - 1 ulp
+_PSI_EDGE_F = (1.1151371395152763, 1.1151371395152765, 1.1151371395152767)
+
+
+def _not_applicable(x, depth):
+    return log_tower(x, depth) is None
+
+
+def _assert_thresholds_follow_log_tower(x, f_value=1.0):
+    """Each threshold at x is None exactly where log_tower at its depth
+    is None; thm13 also needs loglog of Psi = loglog(x) / f_value."""
+    assert (thm11_threshold(x, 3) is None) == _not_applicable(x, 4)
+    assert (thm41_threshold(x, 2) is None) == _not_applicable(x, 4)
+    assert (cor15_threshold(x) is None) == _not_applicable(x, 3)
+    tower = log_tower(x, 2)
+    psi_missing = tower is None or _not_applicable(tower[1] / f_value, 2)
+    assert (thm13_threshold(x, f_value, 1.0) is None) == psi_missing
+    if isinstance(x, int) and x >= 2:
+        assert (remark45_check(x, 2, 1.0) is None) == _not_applicable(x, 3)
+        rows = cor14_check(x, 1)
+        for row, depth in zip(rows, (4, 4, 5)):
+            assert (not row.applicable) == _not_applicable(x, depth)
+            assert (row.smooth_bound is None) == _not_applicable(x, depth)
+
+
+class TestApplicability:
+    @pytest.mark.parametrize("x", _EDGE_INTS + _EDGE_FLOATS)
+    def test_edges(self, x):
+        _assert_thresholds_follow_log_tower(x)
+
+    @pytest.mark.parametrize("f_value", _PSI_EDGE_F)
+    def test_psi_next_to_e(self, f_value):
+        u = 10**9
+        psi_value = math.log(math.log(u)) / f_value
+        assert abs(psi_value - E) <= math.ulp(E)
+        assert thm13_threshold(u, f_value, 1.0) is None
+        _assert_thresholds_follow_log_tower(u, f_value)
+
+    @given(st.integers(min_value=1, max_value=10**40))
+    def test_ints(self, n):
+        _assert_thresholds_follow_log_tower(n)
+
+    @given(
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_floats(self, x, f_value):
+        _assert_thresholds_follow_log_tower(x, f_value)
+
+    def test_thm13_rejects_negative_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            thm13_threshold(1e30, 1.0, 1.0, eps=-0.5)
+
+
 @given(
     st.floats(allow_nan=False, allow_infinity=False),
     st.lists(st.floats(min_value=1e-3, max_value=1e3), max_size=8),

@@ -260,6 +260,19 @@ class TestBounds:
         proc = run_cli("bounds", "thm11", "--u", "1e6", "--k", "3", "--format", "csv")
         assert proc.stdout.splitlines() == ["op,value", "thm11,not applicable"]
 
+    @pytest.mark.parametrize("u, f_value", [
+        ("1e9", "1.1151371395152763"),  # Psi one ulp above e: log Psi == 1
+        ("2", "1"),  # loglog u is not positive
+    ])
+    def test_thm13_not_applicable(self, u, f_value):
+        proc = run_cli("bounds", "thm13", "--u", u, "--f-value", f_value, "--delta0", "1")
+        assert proc.stdout.splitlines()[1] == '{"op": "thm13", "value": "not applicable"}'
+        assert proc.stderr == ""
+
+    def test_thm13_negative_eps_rejected(self, tmp_path):
+        run_rejected(tmp_path, "bounds", "thm13", "--u", "1e30", "--f-value", "1",
+                     "--delta0", "1", "--eps", "-0.5")
+
     def test_matveev(self):
         proc = run_cli(
             "bounds", "matveev",

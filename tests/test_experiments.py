@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from smoothdigits.bounds import remark45_check
 from smoothdigits.digits import nz_count
 from smoothdigits.factor import PrimeSet, factorize, is_s_unit
 from smoothdigits.experiments import (
@@ -227,6 +228,17 @@ class TestCyclotomic:
         assert rep.factors == ((17, 1), (241, 1))
         # smallest passing scale: log(241) * logloglog(N) / log(N)
         assert math.isclose(rep.min_c, 0.4949841654392084, rel_tol=1e-9)
+
+    def test_min_c_passes_remark45(self):
+        # min_c is the scale at which remark45_check passes, n = 47, 67 and
+        # 117 included, where the inverted formula rounds one ulp short
+        checked = 0
+        for n in range(1, 121):
+            rep = cyclotomic_smooth(n)
+            if rep.min_c is not None:
+                assert remark45_check(rep.N, rep.P, rep.min_c) is True, n
+                checked += 1
+        assert checked == 117  # all but n = 1, 2, 3, where N < 16
 
     def test_smallest_cases(self):
         assert cyclotomic_smooth(1).parts == ((2, 3),)

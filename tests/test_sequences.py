@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothdigits.bounds import log_tower
 from smoothdigits.digits import nz_count, decompose
 from smoothdigits.factor import PrimeSet, is_s_unit
 from smoothdigits import sequences
@@ -100,6 +101,31 @@ class TestSparseSequenceF:
         ]
         assert got == expected
 
+    def test_loglog_below_sixteen_matches_brute_force(self):
+        # loglog n is positive from n = 3; c = 3 allows two digits from 9 on
+        got = list(sparse_sequence_f(2, loglog_budget(3.0), max_value=10**4))
+        expected = [1] + [
+            n for n in range(3, 10**4 + 1, 2)
+            if nz_count(n, 2) <= max(1.0, 3.0 * math.log(math.log(n)))
+        ]
+        assert got == expected
+        assert 9 in got
+
+    def test_sqrtll_first_fourth_level_matches_brute_force(self):
+        # loglogloglog n turns positive just above e^(e^e), at 3814280
+        def f(n):
+            l2 = math.log(math.log(n))
+            l3 = math.log(l2)
+            l4 = math.log(l3)
+            return max(1.0, 0.5 * math.sqrt(l2 * l3 / l4)) if l4 > 0 else 1.0
+
+        lo, hi = 3814270, 3814300
+        stream = sparse_sequence_f(3, sqrt_budget(0.5), max_value=hi)
+        got = [n for n in stream if n >= lo]
+        expected = [n for n in range(lo, hi + 1) if n % 3 and nz_count(n, 3) <= f(n)]
+        assert got == expected
+        assert 3814280 in got
+
     def test_budget_below_two_ends_by_itself(self):
         assert list(sparse_sequence_f(3, constant_budget(1))) == [1, 2]
         assert list(sparse_sequence_f(10, constant_budget(1.5))) == list(range(1, 10))
@@ -131,6 +157,11 @@ class TestBudgetFamilies:
             f = parse_budget_spec(spec)
             for n in (1, 2, 10, 10**6, 10**9):
                 assert f(n) >= 1.0
+
+    def test_sqrt_start_is_the_first_fourth_level(self):
+        start = sequences._SQRT_START
+        assert log_tower(start - 1, 4) is None
+        assert log_tower(start, 4) is not None
 
     def test_sqrt_budget_grows(self):
         f = sqrt_budget(1.0)
