@@ -565,7 +565,7 @@ def thm12_gap(n: int, k: int, P: int, w: int, params: ThresholdParams) -> float:
     nonnegative means the inequality holds for the supplied constants.
     P below 3 is lifted to 3 so the doubly iterated logarithm exists."""
     if n < 16:
-        raise ValueError("need n >= 16 so that loglog n is positive")
+        raise ValueError(f"n must be >= 16, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if P < 2:
@@ -610,6 +610,8 @@ def thm13_threshold(
         raise ValueError("f_value must be positive")
     tower = log_tower(u, 2)
     value = None if tower is None else tower[1] / f_value
+    if value == math.inf:
+        raise ValueError(f"f_value {f_value!r} is too small: Psi = loglog(u)/f_value overflows")
     tower = None if value is None else log_tower(value, 2)
     if tower is None:
         return None

@@ -119,7 +119,7 @@ def nz_count(n: int, base: int, bound: Optional[float] = None) -> int:
     if bound is None:
         bound = math.inf
     if base <= _CHUNK_LIMIT:
-        size, table = _nz_chunk_table(base)
+        size, _, table = _nz_chunk_table(base)
         count = 0
         while n and count <= bound:
             n, chunk = divmod(n, size)
@@ -134,20 +134,21 @@ def nz_count(n: int, base: int, bound: Optional[float] = None) -> int:
 
 
 @lru_cache(maxsize=64)
-def _nz_chunk_table(base: int) -> tuple[int, tuple[int, ...]]:
-    """(size, table): size is the largest power of `base` up to _CHUNK_LIMIT,
-    and table[c] is the number of nonzero digits of c for 0 <= c < size.
+def _nz_chunk_table(base: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """(size, table, counts): size is the largest power of `base` up to
+    _CHUNK_LIMIT, and table[c] (uint8) and counts[c] (a tuple, for scalar
+    lookups) are the number of nonzero digits of c for 0 <= c < size.
 
     Leading zeros of a chunk add nothing, so the counts of the chunks of n
     in base `size` sum to nz_count(n, base).
     """
-    size = base
-    while size * base <= _CHUNK_LIMIT:
-        size *= base
-    table = [0]
-    for c in range(1, size):
-        table.append(table[c // base] + (c % base != 0))
-    return size, tuple(table)
+    step = (np.arange(base) != 0).astype(np.uint8)
+    table = np.zeros(1, dtype=np.uint8)
+    while len(table) * base <= _CHUNK_LIMIT:
+        # c = d * len(table) + rest: a new top digit d in front of rest
+        table = np.add.outer(step, table).ravel()
+    table.flags.writeable = False  # cached: every caller gets this array
+    return len(table), table, tuple(table.tolist())
 
 
 def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
@@ -161,8 +162,7 @@ def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
     a * size fits in 63 bits and Python ints otherwise.
     """
     if base <= _CHUNK_LIMIT:
-        size, table = _nz_chunk_table(base)
-        table = np.array(table, dtype=np.uint8)
+        size, table, _ = _nz_chunk_table(base)
         count = lambda v: int(table[v.astype(np.int64, copy=False)].sum())
     else:
         size = base

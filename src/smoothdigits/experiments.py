@@ -12,10 +12,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import Iterator, Optional
 
-from .digits import decompose, nz_count, power_nz_counts
+import numpy as np
+
+from .digits import _nz_chunk_table, decompose, nz_count, power_nz_counts
 from .factor import (
     DEFAULT_BUDGET,
     _as_prime_set,
@@ -358,19 +360,185 @@ def smooth_sparse_search(
     return _search_hits(base, k, _as_prime_set(primes), limit, eps)
 
 
+# Values up to _FIRST_BAND are searched term by term.  Above it, S-units
+# are screened a band of values at a time, in numpy chunks of at most
+# _CHUNK exponent tuples.  A band holds about _CHUNK tuples or more, and
+# spans at least a factor of the largest prime to the power _SPAN: the
+# tuples of the other primes, which each band builds again, are then about
+# 1/_SPAN of the band's own.
+_FIRST_BAND = 1 << 16
+_CHUNK = 1 << 16
+_SPAN = 8
+# The screen's modulus base**w stays below this, so that the product of
+# two residues fits in a uint64.
+_MODULUS_LIMIT = 1 << 32
+# Bands are screened only where the screen keeps at most this share of
+# the residues: where it keeps more, a band's survivors outgrow the heap
+# of the term-by-term search, and their exact checks cost what it saves.
+_MAX_SHARE = 0.25
+
+
 def _search_hits(base, k, prime_set, limit, eps):
-    for v in smooth_sequence(prime_set, limit):
-        if v % base == 0:
-            continue
-        nz = nz_count(v, base, k)
-        if nz <= k:
-            threshold = cor15_threshold(v, eps)
-            yield SearchHit(
-                value=v,
-                nz=nz,
-                cor15=threshold,
-                cor15_exceeded=None if threshold is None else bool(nz > threshold),
-            )
+    w = _screen_digits(base, k)
+    first = min(limit, _FIRST_BAND) if w else limit
+    for v in smooth_sequence(prime_set, first):
+        hit = _search_hit(v, base, k, eps)
+        if hit is not None:
+            yield hit
+    if first < limit:
+        yield from _band_hits(base, k, w, prime_set.primes, limit, eps)
+
+
+def _screen_digits(base, k):
+    """w, the number of low digits the band screen reads: the largest with
+    base**w < _MODULUS_LIMIT.  0 when there is none, or when the screen
+    would keep more than _MAX_SHARE of residues with uniform digits (the
+    lowest digit nonzero, and at most k - 1 of the other w - 1); that is
+    every base of 2**16 or more, where w is 1."""
+    w = 0
+    while base ** (w + 1) < _MODULUS_LIMIT:
+        w += 1
+    q = (base - 1) / base  # a digit is nonzero
+    share = q * sum(math.comb(w - 1, j) * q**j * (1 - q) ** (w - 1 - j) for j in range(min(k, w)))
+    return w if share <= _MAX_SHARE else 0
+
+
+def _search_hit(v, base, k, eps):
+    """The hit at v, or None when base divides v or v has more than k
+    nonzero digits."""
+    if v % base == 0:
+        return None
+    nz = nz_count(v, base, k)
+    if nz > k:
+        return None
+    threshold = cor15_threshold(v, eps)
+    return SearchHit(
+        value=v,
+        nz=nz,
+        cor15=threshold,
+        cor15_exceeded=None if threshold is None else bool(nz > threshold),
+    )
+
+
+def _band_hits(base, k, w, primes, limit, eps):
+    """The hits in (_FIRST_BAND, limit], one band (lo, hi] at a time.
+
+    A band takes the exponent tuples whose float log lies in it, widened by
+    a slack, and keeps a tuple only if its residue mod base**w passes
+    _low_digit_screen: the w low digits of a value are digits of it, so
+    the screen drops no hit.  Each survivor is rebuilt exactly; the exact
+    bounds drop the slack's extra tuples, and the hits are those of
+    _search_hit, in increasing order.
+    """
+    logs = [math.log(p) for p in primes]
+    modulus = base**w
+    screen = _low_digit_screen(base, k)
+    lo = _FIRST_BAND
+    while lo < limit:
+        bottom = math.log(lo)
+        width = max(_band_top(logs, bottom) - bottom, _SPAN * logs[-1])
+        hi = min(lo << math.ceil(width / math.log(2)), limit)
+        slack = 1e-9 * (1 + math.log(hi))  # far above the rounding error of a float log
+        top = math.log(hi) + slack
+        tables = [_powers_mod(p, modulus, math.floor(top / l) + 1) for p, l in zip(primes, logs)]
+        values = []
+        for exps in _screened_tuples(logs, tables, modulus, screen, bottom - slack, top):
+            for row in exps.tolist():
+                v = math.prod(map(pow, primes, row))
+                if lo < v <= hi:
+                    values.append(v)
+        for v in sorted(values):
+            hit = _search_hit(v, base, k, eps)
+            if hit is not None:
+                yield hit
+        lo = hi
+
+
+def _band_top(logs, bottom):
+    """The log of the value up to which the S-units above e**bottom number
+    about _CHUNK, by the volume estimate: (log x + S/2)**r / (r! * P) S-units
+    up to x, with S and P the sum and product of the logs of the r primes."""
+    r = len(logs)
+    scale = math.exp((math.lgamma(r + 1) + sum(map(math.log, logs))) / r)
+    below = r * math.log((bottom + sum(logs) / 2) / scale)  # log of the count up to e**bottom
+    return scale * math.exp(np.logaddexp(below, math.log(_CHUNK)) / r) - sum(logs) / 2
+
+
+def _powers_mod(p, modulus, n):
+    """p**e % modulus for 0 <= e < n, as uint64."""
+    powers = accumulate(repeat(p, n - 1), lambda x, y: x * y % modulus, initial=1)
+    return np.fromiter(powers, dtype=np.uint64, count=n)
+
+
+def _low_digit_screen(base, k):
+    """residues -> mask of those base does not divide and whose digits hold
+    at most k nonzero digits."""
+    size, table, _ = _nz_chunk_table(base)
+
+    def screen(res):
+        keep = res % base != 0
+        count = table[(res % size).astype(np.intp)]
+        high = res // size
+        while high.any():
+            count += table[(high % size).astype(np.intp)]
+            high //= size
+        return keep & (count <= k)
+
+    return screen
+
+
+def _screened_tuples(logs, tables, modulus, screen, bottom, top):
+    """The exponent tuples e of the S-units with bottom < sum(e_i * logs[i])
+    <= top, in floats, whose residues mod `modulus` pass `screen`, as
+    arrays of rows.
+
+    Every exponent but the last starts from 0, so the tuples of all primes
+    but the largest are rebuilt for each band; the last exponent is cut to
+    the band.  Each level grows its rows a piece of at most _CHUNK children
+    at a time, splitting a row whose own children are more, and only the
+    survivors of the screen get their exponent rows."""
+    last = len(logs) - 1
+
+    def grow(exps, sums, residues, i):
+        step = logs[i]
+        stop = np.floor((top - sums) / step).astype(np.int64)
+        start = np.zeros_like(stop)
+        if i == last:
+            np.maximum(np.ceil((bottom - sums) / step).astype(np.int64), 0, out=start)
+        counts = stop - start + 1
+        live = counts > 0
+        exps, sums, residues = exps[live], sums[live], residues[live]
+        start, counts = start[live], counts[live]
+        while len(counts):
+            n = int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right"))
+            if n:
+                take, part = slice(0, n), counts[:n]
+            else:  # the first row alone has more than _CHUNK children
+                take, part = slice(0, 1), np.array([_CHUNK])
+            parents = np.repeat(np.arange(len(part)), part)
+            e = start[take][parents] + np.arange(len(parents))
+            e -= np.repeat(np.cumsum(part) - part, part)
+            kid_residues = residues[take][parents] * tables[i][e] % np.uint64(modulus)
+            if i == last:
+                keep = screen(kid_residues)
+                kids = exps[take][parents[keep]]
+                kids[:, i] = e[keep]
+            else:
+                kids = exps[take][parents]
+                kids[:, i] = e
+                kid_sums = sums[take][parents] + e * step
+            if n:
+                exps, sums, residues = exps[n:], sums[n:], residues[n:]
+                start, counts = start[n:], counts[n:]
+            else:
+                start[0] += _CHUNK
+                counts[0] -= _CHUNK
+            if i == last:
+                yield kids
+            else:
+                yield from grow(kids, kid_sums, kid_residues, i + 1)
+
+    return grow(np.zeros((1, len(logs)), dtype=np.int64), np.zeros(1), np.ones(1, dtype=np.uint64), 0)
 
 
 # ---------------------------------------------------------------------------

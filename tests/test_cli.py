@@ -273,6 +273,17 @@ class TestBounds:
         run_rejected(tmp_path, "bounds", "thm13", "--u", "1e30", "--f-value", "1",
                      "--delta0", "1", "--eps", "-0.5")
 
+    def test_thm13_psi_overflow_names_f_value(self, tmp_path):
+        args = ("bounds", "thm13", "--u", "1e9", "--f-value", "1e-320", "--delta0", "1")
+        run_rejected(tmp_path, *args)
+        assert "f_value" in run_cli(*args, expect=2).stderr
+
+    def test_thm12_below_16_rejected(self, tmp_path):
+        args = ("bounds", "thm12", "--n", "15", "--k", "2", "--p-factor", "3",
+                "--omega", "1", "--c", "1", "--big-c", "1")
+        run_rejected(tmp_path, *args)
+        assert run_cli(*args, expect=2).stderr == "error: n must be >= 16, got 15\n"
+
     def test_matveev(self):
         proc = run_cli(
             "bounds", "matveev",
@@ -696,13 +707,24 @@ class TestSearch:
                 return super().write(text)
 
         out = Stdout()
+        bands = []
+        real_bands = experiments._screened_tuples
+
+        def building(*args):
+            bands.append(out.at_first_hit)
+            return real_bands(*args)
+
         monkeypatch.setattr(experiments, "smooth_sequence", counting)
+        monkeypatch.setattr(experiments, "_screened_tuples", building)
         monkeypatch.setattr(sys, "stdout", out)
         status = main(["search", "--base", "3", "--k", "4", "--primes", "2,5,7",
                        "--limit", "1e12"])
         assert status == 0
         assert out.at_first_hit == 1  # the hit 1 goes out before 2 is drawn
-        assert len(seen) == len(list(real([2, 5, 7], 10**12)))
+        # only the first band is drawn term by term, and the later bands are
+        # built after the first hit is out
+        assert seen == list(real([2, 5, 7], experiments._FIRST_BAND))
+        assert bands and None not in bands
 
     def test_binary_powers_of_three(self):
         proc = run_cli(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from smoothdigits.digits import (
     DigitExpansion,
+    _nz_chunk_table,
     block_count,
     condition_3_2,
     decompose,
@@ -113,6 +114,18 @@ class TestNzCount:
         assert nz_count(105, 10) == 2
         assert nz_count(2**16 * 3 + 1, 2**16) == 2
         assert nz_count(2**17 + 5, 2**16 + 1) == 2
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 10, 255, 256, 2**16 - 1, 2**16])
+    def test_chunk_table_equals_the_digit_loop(self, base):
+        size, table, counts = _nz_chunk_table(base)
+        expected = [0]
+        for c in range(1, size):
+            expected.append(expected[c // base] + (c % base != 0))
+        assert size <= 2**16 < size * base
+        assert size == base ** round(math.log(size, base))
+        assert counts == tuple(expected)
+        assert table.tolist() == expected
+        assert not table.flags.writeable  # one cached array serves every caller
 
 
 class TestBlockCount:

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoothdigits import experiments
 from smoothdigits.bounds import remark45_check
 from smoothdigits.digits import nz_count
 from smoothdigits.factor import PrimeSet, factorize, is_s_unit
@@ -16,6 +20,7 @@ from smoothdigits.experiments import (
     survey_record_dict,
     window_minima,
 )
+from smoothdigits.sequences import smooth_sequence
 
 
 class TestSparseSurvey:
@@ -309,3 +314,56 @@ class TestSmoothSparseSearch:
         hits = smooth_sparse_search(2, 2, [11], 10**4)
         # 11 = 1011 and 121 = 1111001 both carry too many ones: only 1 stays
         assert [h.value for h in hits] == [1]
+
+
+def _few_digits(v, base, k):
+    """At most k nonzero base-`base` digits, counted by plain division."""
+    count = 0
+    while v:
+        v, d = divmod(v, base)
+        count += d != 0
+    return count <= k
+
+
+def _brute_force_search(base, k, primes, limit):
+    return [v for v in smooth_sequence(primes, limit) if v % base and _few_digits(v, base, k)]
+
+
+# 2^16 - 1 = 3 * 5 * 17 * 257, 2^16 + 1 is prime and 641 divides 2^32 + 1.
+_BASES = (2, 3, 6, 10, 2**16 - 1, 2**16 + 1, 2**32 + 1)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 257, 641, 2**16 + 1)
+
+
+@st.composite
+def _search_cases(draw):
+    primes = sorted(draw(st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=4)))
+    unit = math.prod(p ** draw(st.integers(0, 12)) for p in primes)
+    edge = experiments._FIRST_BAND
+    limit = draw(st.sampled_from((0, 1, unit, edge - 1, edge + 1)) | st.integers(2, 10**15))
+    return draw(st.sampled_from(_BASES)), draw(st.integers(1, 6)), primes, limit
+
+
+class TestSearchBands:
+    """The band screen against a filter of smooth_sequence, with numpy
+    chunks of every size from one tuple up."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_search_cases(), st.sampled_from((1, 5, 64, experiments._CHUNK)))
+    def test_equals_brute_force(self, case, chunk):
+        with mock.patch.object(experiments, "_CHUNK", chunk):
+            hits = list(smooth_sparse_search(*case))
+        assert [h.value for h in hits] == _brute_force_search(*case)
+
+    @pytest.mark.parametrize("base, k, primes, limit", [
+        (10, 3, [2], 2**1000),  # exponents above 255
+        (10, 2, [2, 5], 10**40),
+        (6, 3, [2, 3], 10**30),
+        (2, 3, [3, 5], 10**60),
+    ])
+    def test_long_exponents(self, base, k, primes, limit):
+        hits = smooth_sparse_search(base, k, primes, limit)
+        assert [h.value for h in hits] == _brute_force_search(base, k, primes, limit)
+
+    def test_binary_powers_of_three_to_a_huge_limit(self):
+        hits = smooth_sparse_search(2, 2, [3], 10**5000)
+        assert [h.value for h in hits] == [1, 3, 9]
