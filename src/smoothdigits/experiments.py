@@ -362,20 +362,19 @@ def smooth_sparse_search(
 
 # Values up to _FIRST_BAND are searched term by term.  Above it, S-units
 # are screened a band of values at a time, in numpy chunks of at most
-# _CHUNK exponent tuples.  A band holds about _CHUNK tuples or more, and
-# spans at least a factor of the largest prime to the power _SPAN: the
-# tuples of the other primes, which each band builds again, are then about
-# 1/_SPAN of the band's own.
+# _CHUNK exponent tuples.  The smallest prime's exponent is cut to the
+# band and the tuples of the other primes are built again for each band,
+# so a band spans at least a factor of the smallest prime to the power
+# _SPAN: the rebuild is then about 1/_SPAN of the band's own tuples.  A
+# band also holds about _CHUNK tuples or more, and about _BAND_CHUNKS *
+# _CHUNK or fewer: its survivors are kept until it is sorted.
 _FIRST_BAND = 1 << 16
 _CHUNK = 1 << 16
 _SPAN = 8
+_BAND_CHUNKS = 64
 # The screen's modulus base**w stays below this, so that the product of
 # two residues fits in a uint64.
 _MODULUS_LIMIT = 1 << 32
-# Bands are screened only where the screen keeps at most this share of
-# the residues: where it keeps more, a band's survivors outgrow the heap
-# of the term-by-term search, and their exact checks cost what it saves.
-_MAX_SHARE = 0.25
 
 
 def _search_hits(base, k, prime_set, limit, eps):
@@ -391,16 +390,14 @@ def _search_hits(base, k, prime_set, limit, eps):
 
 def _screen_digits(base, k):
     """w, the number of low digits the band screen reads: the largest with
-    base**w < _MODULUS_LIMIT.  0 when there is none, or when the screen
-    would keep more than _MAX_SHARE of residues with uniform digits (the
-    lowest digit nonzero, and at most k - 1 of the other w - 1); that is
-    every base of 2**16 or more, where w is 1."""
+    base**w < _MODULUS_LIMIT.  0 when there is none, or when w digits can
+    never hold more than k nonzero ones: the screen would then drop only
+    the multiples of base, which _search_hit drops anyway.  So every base
+    of 2**16 or more (w = 1) goes term by term."""
     w = 0
     while base ** (w + 1) < _MODULUS_LIMIT:
         w += 1
-    q = (base - 1) / base  # a digit is nonzero
-    share = q * sum(math.comb(w - 1, j) * q**j * (1 - q) ** (w - 1 - j) for j in range(min(k, w)))
-    return w if share <= _MAX_SHARE else 0
+    return w if k < w else 0
 
 
 def _search_hit(v, base, k, eps):
@@ -430,17 +427,20 @@ def _band_hits(base, k, w, primes, limit, eps):
     bounds drop the slack's extra tuples, and the hits are those of
     _search_hit, in increasing order.
     """
+    primes = primes[::-1]  # the smallest last: its exponent is cut to the band
     logs = [math.log(p) for p in primes]
     modulus = base**w
     screen = _low_digit_screen(base, k)
+    slack = 1e-9 * (1 + math.log(limit))  # far above the rounding error of a float log
+    most = math.log(limit) + slack
+    tables = [_powers_mod(p, modulus, math.floor(most / l) + 1) for p, l in zip(primes, logs)]
     lo = _FIRST_BAND
     while lo < limit:
         bottom = math.log(lo)
-        width = max(_band_top(logs, bottom) - bottom, _SPAN * logs[-1])
+        least = max(_band_top(logs, bottom, _CHUNK), bottom + _SPAN * logs[-1])
+        width = min(least, _band_top(logs, bottom, _BAND_CHUNKS * _CHUNK)) - bottom
         hi = min(lo << math.ceil(width / math.log(2)), limit)
-        slack = 1e-9 * (1 + math.log(hi))  # far above the rounding error of a float log
         top = math.log(hi) + slack
-        tables = [_powers_mod(p, modulus, math.floor(top / l) + 1) for p, l in zip(primes, logs)]
         values = []
         for exps in _screened_tuples(logs, tables, modulus, screen, bottom - slack, top):
             for row in exps.tolist():
@@ -454,14 +454,15 @@ def _band_hits(base, k, w, primes, limit, eps):
         lo = hi
 
 
-def _band_top(logs, bottom):
+def _band_top(logs, bottom, count):
     """The log of the value up to which the S-units above e**bottom number
-    about _CHUNK, by the volume estimate: (log x + S/2)**r / (r! * P) S-units
-    up to x, with S and P the sum and product of the logs of the r primes."""
+    about `count`, by the volume estimate: (log x + S/2)**r / (r! * P)
+    S-units up to x, with S and P the sum and product of the logs of the r
+    primes."""
     r = len(logs)
     scale = math.exp((math.lgamma(r + 1) + sum(map(math.log, logs))) / r)
     below = r * math.log((bottom + sum(logs) / 2) / scale)  # log of the count up to e**bottom
-    return scale * math.exp(np.logaddexp(below, math.log(_CHUNK)) / r) - sum(logs) / 2
+    return scale * math.exp(np.logaddexp(below, math.log(count)) / r) - sum(logs) / 2
 
 
 def _powers_mod(p, modulus, n):
@@ -493,8 +494,8 @@ def _screened_tuples(logs, tables, modulus, screen, bottom, top):
     arrays of rows.
 
     Every exponent but the last starts from 0, so the tuples of all primes
-    but the largest are rebuilt for each band; the last exponent is cut to
-    the band.  Each level grows its rows a piece of at most _CHUNK children
+    but the last are rebuilt for each band; the last exponent is cut to the
+    band.  Each level grows its rows a piece of at most _CHUNK children
     at a time, splitting a row whose own children are more, and only the
     survivors of the screen get their exponent rows."""
     last = len(logs) - 1

@@ -1,3 +1,4 @@
+import bisect
 import math
 from unittest import mock
 
@@ -363,6 +364,24 @@ class TestSearchBands:
     def test_long_exponents(self, base, k, primes, limit):
         hits = smooth_sparse_search(base, k, primes, limit)
         assert [h.value for h in hits] == _brute_force_search(base, k, primes, limit)
+
+    def test_a_large_prime_keeps_bands_small(self):
+        # 65537**8 spans the whole range, so the count of S-units cuts the bands
+        case = (3, 4, [2, 3, 65537], 10**30)
+        bands = []
+        screened = experiments._screened_tuples
+
+        def spy(logs, tables, modulus, screen, bottom, top):
+            bands.append((bottom, top))
+            return screened(logs, tables, modulus, screen, bottom, top)
+
+        with mock.patch.object(experiments, "_CHUNK", 64), \
+                mock.patch.object(experiments, "_screened_tuples", spy):
+            hits = list(smooth_sparse_search(*case))
+        assert [h.value for h in hits] == _brute_force_search(*case)
+        logs = [math.log(v) for v in smooth_sequence(case[2], case[3])]
+        held = [bisect.bisect_right(logs, top) - bisect.bisect_right(logs, bottom) for bottom, top in bands]
+        assert len(bands) > 1 and max(held) <= 2 * experiments._BAND_CHUNKS * 64
 
     def test_binary_powers_of_three_to_a_huge_limit(self):
         hits = smooth_sparse_search(2, 2, [3], 10**5000)
