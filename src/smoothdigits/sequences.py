@@ -1,20 +1,20 @@
 """Ordered integer streams: sparse-digit sequences, power sums, smooth numbers.
 
-Sparse streams are generated in rounds by top exponent m: every member with
-top exponent m lies in [b**m, b**(m+1)), so sorting within a round gives
-global order and rounds never interleave.  All streams are strictly
-increasing, duplicate-free, and accept a max_value cutoff; a sparse stream
-ends by itself once its digit budget stays below two digits.
+Sparse streams walk digit positions from the top down, so members come out
+in increasing order with their digit counts known by construction.  All
+streams are strictly increasing, duplicate-free, and accept a max_value
+cutoff; a sparse stream ends by itself once its digit budget stays below
+two digits.
 """
 
 import math
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import combinations, count, islice, product
+from itertools import count, islice, takewhile
 from typing import Callable, Iterator, Optional
 
 from .bounds import log_tower
-from .digits import nz_count
+from .digits import nz_count  # unused here; perfbench/tracer.py patches it by name
 from .factor import _as_prime_set
 
 __all__ = [
@@ -42,8 +42,8 @@ def take(stream: Iterator[int], n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DigitBudget:
-    """Named digit-budget function n -> allowed number of nonzero digits,
-    never below 1.
+    """Digit-budget function n -> allowed number of nonzero digits, never
+    below 1.
 
     peak(lo, hi) is the largest allowance on [lo, hi]; hi None means no
     upper end, and math.inf that the allowance grows without bound there.
@@ -52,7 +52,6 @@ class DigitBudget:
     threshold to apply.
     """
 
-    name: str
     fn: Callable[[int], float]
     delta0: Optional[float]
     peak: Callable[[int, Optional[int]], float]
@@ -64,9 +63,7 @@ class DigitBudget:
 def constant_budget(c: float) -> DigitBudget:
     if c < 1:
         raise ValueError("digit budget must be >= 1")
-    return DigitBudget(
-        name=f"const:{c:g}", fn=lambda n: float(c), delta0=1.0, peak=lambda lo, hi: float(c)
-    )
+    return DigitBudget(fn=lambda n: float(c), delta0=1.0, peak=lambda lo, hi: float(c))
 
 
 def loglog_budget(c: float) -> DigitBudget:
@@ -82,7 +79,7 @@ def loglog_budget(c: float) -> DigitBudget:
     def peak(lo: int, hi: Optional[int]) -> float:
         return math.inf if hi is None else fn(hi)  # fn never decreases
 
-    return DigitBudget(name=f"loglog:{c:g}", fn=fn, delta0=None, peak=peak)
+    return DigitBudget(fn=fn, delta0=None, peak=peak)
 
 
 # The least n with loglogloglog n > 0, the first integer above e^(e^e);
@@ -112,7 +109,7 @@ def sqrt_budget(c: float) -> DigitBudget:
         ends = (lo, hi, start) if lo <= start <= hi else (lo, hi)
         return max(map(fn, ends))
 
-    return DigitBudget(name=f"sqrtll:{c:g}", fn=fn, delta0=1.0, peak=peak)
+    return DigitBudget(fn=fn, delta0=1.0, peak=peak)
 
 
 BUDGET_FAMILIES = {
@@ -138,26 +135,6 @@ def parse_budget_spec(spec: str) -> DigitBudget:
 
 # ---------------------------------------------------------------------------
 # sparse streams
-
-
-def _round_members(base: int, max_digits: int, m: int) -> list[int]:
-    """All integers with top exponent m, lowest exponent 0, and at most
-    max_digits nonzero digits, unsorted."""
-    out = []
-    top = base**m
-    if max_digits < 2:
-        return out
-    # middle positions: choose t of the exponents 1..m-1
-    for t in range(0, min(max_digits - 2, m - 1) + 1):
-        for positions in combinations(range(1, m), t):
-            powers = [base**e for e in positions]
-            for digs in product(range(1, base), repeat=t + 2):
-                # digs = (low digit, middle digits..., top digit)
-                val = digs[0] + digs[-1] * top
-                for w, d in zip(powers, digs[1:-1]):
-                    val += d * w
-                out.append(val)
-    return out
 
 
 def sparse_sequence(
@@ -186,27 +163,43 @@ def sparse_sequence_f(
 def _sparse_gen(base, budget, max_value):
     """Every single digit, then the rounds [b**m, b**(m+1)) for m = 1, 2, ...
 
-    Candidates of a round carry up to floor(budget.peak) nonzero digits
-    over the round; a candidate is checked against the budget at its own
-    value only where the budget there is below that cap.  The stream ends
-    once no allowance from b**m on reaches two digits."""
-    for d in range(1, base):
-        if max_value is not None and d > max_value:
+    walk(high, digits, span) yields, in increasing order, the members
+    high + r with 1 <= r < span and b not dividing r, where span is a power
+    of b and high has digits - 1 nonzero digits, all at or above span.
+    The leaves high + d, d < b, have `digits` nonzero digits and every
+    other member more, so one read of the budget's peak over the node
+    prunes it whole.  The stream ends once no allowance from b**m on
+    reaches two digits."""
+    fn, peak = budget.fn, budget.peak
+
+    def walk(high, digits, span):
+        cap = peak(high + 1, high + span - 1)
+        if cap < digits:
             return
-        yield d
-    m = 1
-    while True:
-        lo = base**m
-        if max_value is not None and lo > max_value or budget.peak(lo, None) < 2:
-            return
-        cap = math.floor(budget.peak(lo, base * lo - 1))
-        for v in sorted(_round_members(base, cap, m)):
-            if max_value is not None and v > max_value:
-                return
-            allowed = budget(v)
-            if allowed >= cap or nz_count(v, base, allowed) <= allowed:
+        for v in range(high + 1, high + base):
+            if digits <= fn(v):
                 yield v
-        m += 1
+        if cap >= digits + 1:
+            step = base
+            while step < span:
+                for h in range(high + step, high + base * step, step):
+                    yield from walk(h, digits + 1, step)
+                step *= base
+
+    def rounds():
+        yield from range(1, base)
+        lo = base
+        while True:
+            if max_value is not None and lo > max_value or peak(lo, None) < 2:
+                return
+            if peak(lo, base * lo - 1) >= 2:
+                for h in range(lo, base * lo, lo):
+                    yield from walk(h, 2, lo)
+            lo *= base
+
+    if max_value is None:
+        return rounds()
+    return takewhile(lambda v: v <= max_value, rounds())
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +240,27 @@ def power_sum_sequence(
 
 
 def _power_sum_gen(bases, max_value):
+    # Raising only the exponents at or after the one raised last reaches each
+    # tuple exactly once, and a tuple's successors exceed it, so equal
+    # values of different tuples leave the heap together.
     k = len(bases)
 
     def value(tup):
         return sum(a**e for a, e in zip(bases, tup)) + 1
 
     start = (1,) * k
-    heap = [(value(start), start)]
-    seen = {start}
+    heap = [(value(start), start, 0)]
     last = None
     while heap:
-        v, tup = heappop(heap)
+        v, tup, i = heappop(heap)
         if max_value is not None and v > max_value:
             return
         if v != last:
             yield v
             last = v
-        for i in range(k):
-            succ = tup[:i] + (tup[i] + 1,) + tup[i + 1 :]
-            if succ not in seen:
-                seen.add(succ)
-                heappush(heap, (value(succ), succ))
+        for j in range(i, k):
+            succ = tup[:j] + (tup[j] + 1,) + tup[j + 1 :]
+            heappush(heap, (value(succ), succ, j))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
-from itertools import islice
+import tracemalloc
+from collections import deque
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -130,7 +132,8 @@ class TestSparseSequenceF:
         assert list(sparse_sequence_f(3, constant_budget(1))) == [1, 2]
         assert list(sparse_sequence_f(10, constant_budget(1.5))) == list(range(1, 10))
 
-    def test_fixed_k_never_counts_digits(self, monkeypatch):
+    def test_no_sparse_stream_counts_digits(self, monkeypatch):
+        # digit counts are known by construction, under any budget
         calls = []
 
         def counting(n, base, *bound):
@@ -141,7 +144,61 @@ class TestSparseSequenceF:
         take(sparse_sequence(10, 3), 2000)
         assert calls == []
         take(sparse_sequence_f(2, loglog_budget(1.0)), 200)
-        assert calls
+        assert calls == []
+
+    def test_spike_round_holds_only_its_path(self):
+        # the round [3**13, 3**14) holds 2 125 764 members under the spike's
+        # allowance; only the 14 from 3814270 on are wanted
+        tracemalloc.start()
+        try:
+            got = list(sparse_sequence_f(3, sqrt_budget(0.5), max_value=3814300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[-1] <= 3814300 and 3814280 in got
+        assert peak < 5 * 2**20
+
+    @given(
+        base=st.sampled_from([2, 3, 10]),
+        family=st.sampled_from(["const", "loglog", "sqrtll"]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_filter(self, base, family, data):
+        # whole scales put the const allowance exactly on a digit count
+        low = 1.0 if family == "const" else 0.1
+        c = data.draw(
+            st.integers(min_value=1, max_value=6).map(float)
+            | st.floats(min_value=low, max_value=6.0),
+            label="scale",
+        )
+        near_spike = st.integers(min_value=3814000, max_value=3818000)
+        max_value = data.draw(
+            st.integers(min_value=1, max_value=30000)
+            | (near_spike if family == "sqrtll" else st.nothing()),
+            label="max_value",
+        )
+
+        def f(n):
+            if family == "const":
+                return c
+            if family == "loglog":
+                return max(1.0, c * math.log(math.log(n))) if n >= 3 else 1.0
+            if n < 16:
+                return 1.0
+            l2 = math.log(math.log(n))
+            l3 = math.log(l2)
+            l4 = math.log(l3)
+            return max(1.0, c * math.sqrt(l2 * l3 / l4)) if l4 > 0 else 1.0
+
+        budget = parse_budget_spec(f"{family}:{c!r}")
+        # near the spike, filter only the last 20000 integers below the cutoff
+        lo = max(1, max_value - 20000)
+        got = [n for n in sparse_sequence_f(base, budget, max_value=max_value) if n >= lo]
+        expected = [
+            n for n in range(lo, max_value + 1) if n % base and nz_count(n, base) <= f(n)
+        ]
+        assert got == expected
 
 
 class TestBudgetFamilies:
@@ -214,6 +271,31 @@ class TestPowerSum:
         spec = PowerSumSpec(bases=(3, 9))
         terms = take(power_sum_sequence(spec), 500)
         assert all(a < b for a, b in zip(terms, terms[1:]))
+
+    @pytest.mark.parametrize("bases", [(2, 4), (3, 9), (2, 4, 8)])
+    def test_colliding_tuples_over_a_box(self, bases):
+        # powers of one number: 2**4 + 4**1 == 2**2 + 4**2, and many more;
+        # a**e <= limit with a >= 2 puts every exponent inside the box
+        limit = 10**12
+        box = range(1, limit.bit_length() + 1)
+        expected = sorted(
+            {
+                v
+                for tup in product(box, repeat=len(bases))
+                if (v := sum(a**e for a, e in zip(bases, tup)) + 1) <= limit
+            }
+        )
+        got = list(power_sum_sequence(PowerSumSpec(bases=bases), max_value=limit))
+        assert got == expected
+
+    def test_holds_only_its_frontier(self):
+        tracemalloc.start()
+        try:
+            deque(islice(power_sum_sequence(PowerSumSpec(bases=(2, 4))), 20000), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_brute_force_agreement(self):
         spec = PowerSumSpec(bases=(2, 6))
