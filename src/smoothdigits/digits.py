@@ -154,43 +154,81 @@ def _nz_chunk_table(base: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
 def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
     """nz_count(a**n, base) for n = start, start + 1, ... without end.
 
-    a**n is kept as a numpy array of limbs in base size = base**w, and each
-    step multiplies the array by a in place, with carries, so a step costs
-    time linear in the length of a**n.  A base up to _CHUNK_LIMIT takes the
-    chunk size and table of nz_count; a larger base is its own limb (w = 1),
-    where a nonzero limb is one nonzero digit.  Limbs are int64 when
-    a * size fits in 63 bits and Python ints otherwise.
+    a**n is kept as a numpy array of limbs in base size = base**w.  The
+    rows n ... n + s - 1 are the s lanes of one 2-D limb array, and each
+    step multiplies every lane by a**s in place, with carries, and counts
+    all lanes at once, so a row costs time linear in the length of a**n
+    and about 1/s of a step's numpy calls.  A base up to _CHUNK_LIMIT takes
+    the chunk size and table of nz_count; a larger base is its own limb
+    (w = 1), where a nonzero limb is one nonzero digit.  Rows are computed
+    at most one step (s - 1 rows) ahead of the consumer.
     """
     if base <= _CHUNK_LIMIT:
         size, table, _ = _nz_chunk_table(base)
-        count = lambda v: int(table[v.astype(np.int64, copy=False)].sum())
+        count = lambda v: table[v.astype(np.intp, copy=False)].sum(axis=1).tolist()
     else:
         size = base
-        count = lambda v: int(np.count_nonzero(v))
-    dtype = np.int64 if a * size < 1 << 63 else object
+        count = lambda v: np.count_nonzero(v, axis=1).tolist()
+    # After v *= a**s a limb is at most (size - 1) * a**s, and after a carry
+    # pass it is below size + a**s <= size * a**s: the dtype holds that.  The
+    # tier is the one a (s = 1) needs, so a wider step never costs a slower
+    # dtype; s is the largest step inside it with a**s < size.
+    tiers = ((np.uint32, 1 << 32), (np.int64, (1 << 63) - 1), (object, math.inf))
+    dtype, cap = next(t for t in tiers if a * size <= t[1])
+    s = 1
+    while a ** (s + 1) < size and a ** (s + 1) * size <= cap:
+        s += 1
     per_limb = size.bit_length() - 1  # size >= 2**per_limb
-    grow = a.bit_length() // per_limb + 1  # limbs one multiplication can add
+    grow = (a**s).bit_length() // per_limb + 1  # limbs one step can add
     power = a**start
-    limbs = np.zeros(power.bit_length() // per_limb + 1 + grow, dtype=dtype)
-    used = 0
-    while power:
-        power, limbs[used] = divmod(power, size)
-        used += 1
+    used = power.bit_length() // per_limb + 1
+    limbs = np.zeros((s, used + grow), dtype=dtype)
+    _to_limbs(power, size, limbs[0])
+    limbs[1:] = limbs[0]
+    # The first step turns lane i from a**start into a**(start + i).
+    step = np.array([a**i for i in range(s)], dtype=dtype)[:, None]
     while True:
-        yield count(limbs[:used])
-        if used + grow > len(limbs):
-            limbs = np.concatenate([limbs, np.zeros_like(limbs)])
-        v = limbs[: used + grow]
-        v *= a
+        if used + grow > limbs.shape[1]:
+            limbs = np.concatenate([limbs, np.zeros_like(limbs)], axis=1)
+        v = limbs[:, : used + grow]
+        v *= step
         while True:
             high = v // size
-            if not high.any():
+            if not np.count_nonzero(high):
                 break
-            v %= size
-            v[1:] += high[:-1]  # the top limb of v stays below size
+            if dtype is object:
+                v %= size  # one Python-int operation per limb, not two
+            else:
+                v -= high * size  # numpy's integer % is slower than this
+            v[:, 1:] += high[:, :-1]  # the top limb of v stays below size
         used += grow
-        while not limbs[used - 1]:
+        while not limbs[-1, used - 1]:
             used -= 1
+        yield from count(limbs[:, :used])
+        step = a**s
+
+
+def _to_limbs(x: int, size: int, out: np.ndarray) -> None:
+    """Write the base-`size` limbs of x >= 0, lowest first, into `out`.
+
+    x is split in halves by size**(2**j) until the parts are short, so the
+    conversion costs a few big divisions instead of one per limb.
+    """
+    powers = [size]  # powers[j] = size**(2**j)
+    while powers[-1] <= x:
+        powers.append(powers[-1] ** 2)
+
+    def fill(x, j, at):  # x < powers[j], at most 2**j limbs
+        if j <= 5:
+            while x:
+                x, out[at] = divmod(x, size)
+                at += 1
+            return
+        hi, lo = divmod(x, powers[j - 1])
+        fill(lo, j - 1, at)
+        fill(hi, j - 1, at + (1 << (j - 1)))
+
+    fill(x, len(powers) - 1, 0)
 
 
 def block_count(n: int, base: int) -> int:

@@ -23,6 +23,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -373,3 +374,41 @@ def test_criterion_10_stewart_survey_smoke():
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"criterion 10 took {elapsed:.1f}s"
     _report(10, elapsed, "1998 rows; digit counts match an independent base-3 expansion")
+
+
+def _base3_nonzero_digits(v):
+    """Nonzero base-3 digits of v, by repeated division.  A long v is first
+    split as hi * 3**h + lo (lo padded to h places), so the counts of the
+    two parts add and the division loop only runs on short integers."""
+    if v.bit_length() > 1024:
+        h = int(v.bit_length() / math.log2(3) / 2)
+        hi, lo = divmod(v, 3**h)
+        return _base3_nonzero_digits(hi) + _base3_nonzero_digits(lo)
+    count = 0
+    while v:
+        v, d = divmod(v, 3)
+        count += d != 0
+    return count
+
+
+def test_stewart_survey_matches_a_pure_python_expansion():
+    # Criterion 10 without gmpy2: the same rows against a base-3 expansion
+    # made outside smoothdigits.
+    rows = list(stewart_survey(2, 3, (3, 2000)))
+    assert [row.n for row in rows] == list(range(3, 2001))
+    assert [row.nz for row in rows] == [_base3_nonzero_digits(2**n) for n in range(3, 2001)]
+
+
+def test_stewart_survey_streams_its_rows():
+    # Rows come a step at a time: the first one of a range up to 10**9
+    # costs no more memory than a short range.  The base-3 chunk table
+    # (about 1 MB to build) is cached per process, so build it first.
+    next(stewart_survey(2, 3, (3, 4)))
+    tracemalloc.start()
+    try:
+        first = next(stewart_survey(2, 3, (3, 10**9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (first.n, first.nz) == (3, 2)  # 8 = 22 in base 3
+    assert peak < 1 << 20, f"peak {peak} bytes"

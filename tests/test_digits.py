@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from smoothdigits.digits import (
     condition_3_2,
     decompose,
     nz_count,
+    power_nz_counts,
     recompose,
 )
 
@@ -105,6 +107,19 @@ def test_bounded_nz_count(n, base, bound):
         assert got == full
     else:
         assert got > bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.one_of(st.integers(min_value=2, max_value=2**17), st.integers(min_value=2, max_value=2**64)),
+    base=st.sampled_from([2, 3, 10, 2**16 - 1, 2**16, 2**16 + 1, 10**12]),
+    start=st.integers(min_value=0, max_value=200),
+    rows=st.integers(min_value=1, max_value=80),
+)
+def test_power_nz_counts_match_nz_count(a, base, start, rows):
+    # up to 80 rows cross several steps of s rows (s <= 23 on these bases)
+    got = list(itertools.islice(power_nz_counts(a, base, start), rows))
+    assert got == [nz_count(a**n, base) for n in range(start, start + rows)]
 
 
 class TestNzCount:

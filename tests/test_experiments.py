@@ -1,5 +1,6 @@
 import bisect
 import math
+import time
 from unittest import mock
 
 import pytest
@@ -189,6 +190,12 @@ class TestStewart:
             (2**62 + 1, 3, 3, 200),  # a * 3**10 overflows int64: Python-int limbs
             (2, 3, 57, 600),
             (5, 2**16, 100, 400),
+            (65537, 3, 3, 300),  # a above size = 3**10: one lane (s = 1) on uint32
+            (59048, 3, 3, 200),  # a just below size
+            (59050, 3, 3, 200),  # a just above size
+            (7, 2, 3, 600),  # size = 2**16
+            (3, 256, 3, 600),  # size = 2**16
+            (2, 3, 100, 400),  # the limb array doubles at the second step
         ],
     )
     def test_rows_equal_nz_count_of_the_power(self, a, base, start, end):
@@ -210,6 +217,16 @@ class TestStewart:
         list(stewart_survey(2, 2**16 + 1, (3, 50)))
         list(stewart_survey(2, 10**12, (3, 50)))
         assert bases == []
+
+    def test_far_start_converts_in_time(self):
+        # a**start goes to limbs by halving splits.  One divmod per limb is
+        # quadratic and took about 9 s on 2 shared cores; the counts were
+        # pinned from that conversion.
+        t0 = time.perf_counter()
+        rows = list(stewart_survey(2, 3, (10**6, 10**6 + 1)))
+        elapsed = time.perf_counter() - t0
+        assert [(r.n, r.nz) for r in rows] == [(10**6, 420563), (10**6 + 1, 420296)]
+        assert elapsed < 4.0, f"took {elapsed:.1f}s"
 
     def test_independence_check(self):
         assert multiplicatively_independent(2, 3)
