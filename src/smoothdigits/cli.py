@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int_at_least(0),
         default=DEFAULT_BUDGET,
-        help="factoring effort bound (squarings of the rho walk, default %(default)s)",
+        help="factoring effort bound in modular multiplications, shared by rho, "
+        "p-1 and ECM (default %(default)s)",
     )
     parser.add_argument(
         "--threads",

@@ -8,8 +8,11 @@ records in identical order.  Values that resist factoring within the budget
 are emitted with complete=False rather than dropped.
 """
 
+# argparse imports locale, through gettext, on every command-line call.  It is
+# imported with the package, where it came in with the process pool's modules
+# before that import went lazy, so a command's first record does not wait for it.
+import locale  # noqa: F401
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
@@ -172,6 +175,9 @@ def sparse_survey(
 
 
 def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
+    if workers > 1:
+        # imported here: it pulls in multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         facts = _factor_in_batches(values, factor_budget, pool)
         for j, fact in enumerate(facts, start=1):

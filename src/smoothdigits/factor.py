@@ -1,24 +1,27 @@
 """Arbitrary-precision factorization and factor-derived arithmetic.
 
 The factoring strategy is algebraic pre-splitting, then trial division by a
-fixed table of small primes, then repeated Brent-rho splitting with
-deterministic parameters.  An n = x**m - 1 or x**m + 1 (m >= 2) is first
-cut into its cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its
-two Aurifeuillian factors; each part then takes the same steps as any other
+fixed table of small primes, then repeated splitting of each composite
+cofactor: a first share of Brent rho, Pollard p - 1, ECM on Montgomery
+curves, and rho again with whatever is left, all with deterministic
+parameters.  An n = x**m - 1 or x**m + 1 (m >= 2) is first cut into its
+cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its two
+Aurifeuillian factors; each part then takes the same steps as any other
 input, except that rho splits a part Phi_e(x) with the map y -> y**k + c,
 k = lcm(2, e), which its prime factors make faster (see `_rho_power`).
 Primality testing is exact below 2**16 (a table lookup) and Miller-Rabin
 above: deterministic below 3.3e24 (the first 13 primes as bases at most),
 and with a fixed 25-prime basis above that, so results
 are reproducible run to run.  Splitting effort is bounded by an explicit
-budget shared by all parts, counted in squarings of the rho walk: a
-y**2 + c step costs 1, a y**k + c step k.bit_length() - 1.  When it runs
-out the unsplit composites are reported honestly as a cofactor instead of
-being guessed at.
+budget shared by all parts and all methods, counted in modular
+multiplications and squarings; a pow(y, e, n) counts as binary
+square-and-multiply would.  When it runs out the unsplit composites are
+reported honestly as a cofactor instead of being guessed at.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import count, takewhile
 from typing import Optional
@@ -232,7 +235,8 @@ class Factorization:
 # ---------------------------------------------------------------------------
 # splitting
 
-DEFAULT_BUDGET = 200_000  # Brent-rho units (walk squarings) per factorize() call
+# Modular multiplications per factorize() call, over all cofactors and methods
+DEFAULT_BUDGET = 200_000
 
 
 def _int_nth_root(n: int, r: int) -> int:
@@ -324,77 +328,259 @@ def _rho_power(e: int) -> int:
     and once trial division has taken out 2, p is odd, so k = lcm(2, e)
     divides p - 1.  The walk y -> y**k + c
     then takes about sqrt(k - 1) times fewer steps than y -> y**2 + c
-    (Brent and Pollard, 1981), and each step costs k.bit_length() - 1
-    squarings; k is used where the first is larger, 2 otherwise.
+    (Brent and Pollard, 1981), and each step k.bit_length() - 1 squarings
+    (its charge, `_pow_cost(k)`, adds the products); k is used where the
+    first is larger, 2 otherwise.
     """
     k = math.lcm(2, e)
     return k if k - 1 > (k.bit_length() - 1) ** 2 else 2
+
+
+def _pow_cost(e: int) -> int:
+    """Multiplications of pow(y, e, n), e >= 1, as binary square-and-multiply
+    makes them: e.bit_length() - 1 squarings and e.bit_count() - 1 products."""
+    return e.bit_length() + e.bit_count() - 2
 
 
 def _brent_rho(n: int, max_iter: int, power: int = 2):
     """Deterministic Brent rho on y -> y**power + c.  Returns (nontrivial
     factor or None, used).
 
-    `used` counts squarings of the walk over the comparisons made:
-    power.bit_length() - 1 per step, so 1 for y**2 + c.  The budget is
-    checked before each gcd block of at most 128 steps and before each
-    backtracking step, so `used` never exceeds `max_iter`.  The map is
-    chosen once per block; the y**2 + c loops stay free of `pow`.
+    `used` counts modular multiplications: a step of the walk costs 1 for
+    y**2 + c and `_pow_cost(power)` otherwise, and a compared step 1 more,
+    for the product q.  The budget is checked before each round's advance
+    (which must leave room for one compared step), before each gcd block of
+    at most 128 compared steps and before each backtracking step, so `used`
+    never exceeds `max_iter`.  The map is chosen once per loop; the
+    y**2 + c loops stay free of `pow`.
     """
-    charge = power.bit_length() - 1
+    step = 1 if power == 2 else _pow_cost(power)
     used = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            if max_iter - used < (r + 1) * step + 1:
+                return None, used
             x = y
             if power == 2:
                 for _ in range(r):
                     y = (y * y + c) % n
             else:
                 for _ in range(r):
-                    y = (pow(y, power, n) + c) % n
+                    y = pow(y, power, n) + c
+            used += r * step
             k = 0
             while k < r and g == 1:
-                if max_iter - used < charge:
+                if max_iter - used < step + 1:
                     return None, used
                 ys = y
-                block = min(128, r - k, (max_iter - used) // charge)
+                block = min(128, r - k, (max_iter - used) // (step + 1))
                 if power == 2:
                     for _ in range(block):
                         y = (y * y + c) % n
                         q = q * (x - y) % n
                 else:
                     for _ in range(block):
-                        y = (pow(y, power, n) + c) % n
+                        y = pow(y, power, n) + c
                         q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += block
-                used += block * charge
+                used += block * (step + 1)
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                if max_iter - used < charge:
+                if max_iter - used < step:
                     return None, used
-                ys = (pow(ys, power, n) + c) % n
+                ys = pow(ys, power, n) + c
                 g = math.gcd(x - ys, n)
-                used += charge
+                used += step
         if g != n:
             return g, used
         # cycle collapsed; retry with the next polynomial increment
 
 
+def _stage2_primes(b1: int, b2: int) -> list[int]:
+    """The primes q with b1 < q <= b2 < 2**16, read off the import-time table."""
+    return [q for q in range(b1 + 1, b2 + 1) if _fastfactor.SMALL_SPF[q] == q]
+
+
+# Pollard p - 1: base 3 (2 has order exactly e modulo each prime of a part
+# Phi_e(2) not dividing e, so base 2 meets every prime of 2**m +- 1 at
+# once), stage 1 to B1, stage 2 over the primes up to B2 by prime gaps.
+_PM1_BASE, _PM1_B1, _PM1_B2 = 3, 1000, 20000
+
+
+@cache
+def _pm1_plan():
+    """(E, first prime of stage 2, gaps between its primes, cost of stage 1,
+    of stage 2)."""
+    e = math.lcm(*range(1, _PM1_B1 + 1))
+    primes = _stage2_primes(_PM1_B1, _PM1_B2)
+    gaps = [b - a for a, b in zip(primes, primes[1:])]
+    # b**q0, b**2 and b**4 ... b**max(gaps), then per later prime one step
+    # and one product into the accumulator
+    stage2 = _pow_cost(primes[0]) + max(gaps) // 2 + 2 * len(gaps)
+    return e, primes[0], gaps, _pow_cost(e), stage2
+
+
+def _pm1(n: int, max_iter: int):
+    """Pollard p - 1; returns (factor or None, used).  Runs only when
+    `max_iter` covers both stages."""
+    e, q0, gaps, stage1, stage2 = _pm1_plan()
+    if max_iter < stage1 + stage2:
+        return None, 0
+    b = pow(_PM1_BASE, e, n)
+    g = math.gcd(b - 1, n)
+    if g != 1:
+        return (g if g != n else None), stage1
+    steps = {2: b * b % n}
+    for d in range(4, max(gaps) + 1, 2):
+        steps[d] = steps[d - 2] * steps[2] % n
+    t = pow(b, q0, n)
+    acc = t - 1
+    for gap in gaps:
+        t = t * steps[gap] % n
+        acc = acc * (t - 1) % n
+    g = math.gcd(acc, n)
+    return (g if 1 < g < n else None), stage1 + stage2
+
+
+# ECM (Lenstra 1987) on Montgomery curves B y**2 = x**3 + A x**2 + x in
+# x-only projective coordinates (Montgomery 1987), with Suyama's
+# parametrization from sigma = 6, 7, ..., stage 2 by baby steps j Q
+# (j < D/2, gcd(j, D) = 1) and giant steps g D Q, D = 210.
+_ECM_B1, _ECM_B2, _ECM_D = 400, 20000, 210
+
+
+def _xdbl(x, z, n, num, den):
+    """2P from P = (x : z) on the curve with (A + 2)/4 = num/den: 4
+    multiplications, as num and den are small and both coordinates carry
+    the factor den."""
+    s = (x + z) ** 2 % n
+    d = (x - z) ** 2 % n
+    t = s - d
+    return s * den * d % n, t * (den * d + num * t) % n
+
+
+def _xadd(x1, z1, x2, z2, xd, zd, n):
+    """P + Q from P, Q and P - Q = (xd : zd): 6 multiplications."""
+    u = (x1 - z1) * (x2 + z2) % n
+    v = (x1 + z1) * (x2 - z2) % n
+    return (u + v) ** 2 % n * zd % n, (u - v) ** 2 % n * xd % n
+
+
+@cache
+def _ecm_plan():
+    """(E, [(g, [j, ...]), ...], cost of stage 1, of stage 2): the stage-2
+    primes q = g D +- j grouped by giant step g."""
+    e = math.lcm(*range(1, _ECM_B1 + 1))
+    half = _ECM_D // 2
+    pairs: dict[int, set[int]] = {}
+    for q in _stage2_primes(_ECM_B1, _ECM_B2):
+        g = (q + half) // _ECM_D
+        pairs.setdefault(g, set()).add(abs(q - g * _ECM_D))
+    giants = [(g, sorted(js)) for g, js in sorted(pairs.items())]
+    # 2Q, Q + 2Q ... 103Q + 2Q, x*z of each baby, D Q = 2 (105 Q), 2 D Q,
+    # then one addition per further giant step, and per giant step used its
+    # x*z and two multiplications per j
+    babies = len([j for j in range(1, half, 2) if math.gcd(j, _ECM_D) == 1])
+    stage2 = 4 + 6 * (half // 2) + babies + 4 + 4 + 6 * (giants[-1][0] - 2)
+    stage2 += sum(1 + 2 * len(js) for _, js in giants)
+    return e, giants, 4 + 8 * (e.bit_length() - 1), stage2
+
+
+def _ecm(n: int, max_iter: int):
+    """ECM, one curve after another while `max_iter` covers a whole curve;
+    returns (factor or None, used)."""
+    e, giants, stage1, stage2 = _ecm_plan()
+    used = 0
+    for sigma in count(6):
+        if max_iter - used < stage1 + stage2:
+            return None, used
+        u, v = sigma * sigma - 5, 4 * sigma
+        xp, zp = u**3, v**3  # P, small integers
+        num, den = (v - u) ** 3 * (3 * u + v), 16 * u**3 * v
+        x0, z0 = xp, zp
+        x1, z1 = _xdbl(xp, zp, n, num, den)
+        for bit in bin(e)[3:]:  # Montgomery's ladder; R1 - R0 = P throughout
+            a = (x0 - z0) * (x1 + z1) % n
+            b = (x0 + z0) * (x1 - z1) % n
+            added = (a + b) ** 2 * zp % n, (a - b) ** 2 * xp % n  # 4, as P is small
+            if bit == "1":
+                (x0, z0), (x1, z1) = added, _xdbl(x1, z1, n, num, den)
+            else:
+                (x0, z0), (x1, z1) = _xdbl(x0, z0, n, num, den), added
+        used += stage1
+        g = math.gcd(z0, n)
+        if g == 1:
+            g = _ecm_stage2(n, x0, z0, num, den, giants)
+            used += stage2
+        if 1 < g < n:
+            return g, used
+
+
+def _ecm_stage2(n, x, z, num, den, giants):
+    """gcd(n, prod of x(g D Q) z(j Q) - x(j Q) z(g D Q)) over the planned
+    (g, j), for Q = (x : z) after stage 1."""
+    half = _ECM_D // 2
+    odd = {1: (x, z)}  # j Q for odd j <= D/2
+    x2, z2 = _xdbl(x, z, n, num, den)
+    for j in range(3, half + 1, 2):
+        odd[j] = _xadd(*odd[j - 2], x2, z2, *odd[abs(j - 4)], n)
+    babies = {j: (xj, zj, xj * zj % n) for j, (xj, zj) in odd.items()
+              if j < half and math.gcd(j, _ECM_D) == 1}
+    dq = _xdbl(*odd[half], n, num, den)
+    giant = [None, dq, _xdbl(*dq, n, num, den)]  # giant[g] = g D Q
+    acc = 1
+    for g, js in giants:
+        while len(giant) <= g:
+            giant.append(_xadd(*giant[-1], *dq, *giant[-2], n))
+        xg, zg = giant[g]
+        xz = xg * zg % n
+        for j in js:
+            xj, zj, xzj = babies[j]
+            acc = acc * ((xg - xj) * (zg + zj) % n - xz + xzj) % n
+    return math.gcd(acc, n)
+
+
+# Rho gets this many units on each cofactor first, before p - 1 and ECM:
+# enough for most primes below about 2**20.
+_RHO_SHARE = 4000
+
+
+def _split(m: int, budget: int, power: int):
+    """A nontrivial factor of the composite m, or None, and the units used:
+    rho with at most `_RHO_SHARE`, Pollard p - 1, ECM, then rho with what
+    is left, each only while the budget covers it.  The last rho walks the
+    first one's path again, so it runs only where it can go past it, and
+    where p - 1 cannot follow the share, rho takes the whole budget at
+    once."""
+    if budget < _RHO_SHARE + sum(_pm1_plan()[3:]):
+        return _brent_rho(m, budget, power)
+    d, used = _brent_rho(m, _RHO_SHARE, power)
+    for method in (_pm1, _ecm):
+        if d is None:
+            d, spent = method(m, budget - used)
+            used += spent
+    if d is None and budget - used > _RHO_SHARE:
+        d, spent = _brent_rho(m, budget - used, power)
+        used += spent
+    return d, used
+
+
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n, spending at most `budget` rho units on hard cofactors.
+    """Factor n, spending at most `budget` modular multiplications on hard
+    cofactors.
 
     An n = x**m +- 1 is first cut into its algebraic parts (see
     `_algebraic_parts`); every part is then trial-divided and split like any
-    other input, all on the one budget.  Each cofactor of a part Phi_e(x)
-    (after trial division, the halves of a rho split, the roots of a
-    perfect power) is split with the map y -> y**k + c of `_rho_power(e)`;
-    any other input walks y -> y**2 + c.  A unit is one squaring of the
-    walk: a y**2 + c step costs 1, a y**k + c step k.bit_length() - 1.
+    other input, all on the one budget.  Each composite cofactor (after
+    trial division, the halves of a split, the roots of a perfect power)
+    goes to `_split`: a share of rho, Pollard p - 1, ECM, then rho with the
+    rest.  Rho walks the map of `_rho_power(e)` on a cofactor of a part
+    Phi_e(x), and y -> y**2 + c on any other input.
 
     Always returns: if the budget runs out, the product of the unsplit
     composites goes to `cofactor` and `complete` is False.
@@ -434,10 +620,7 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
             root, exp = perfect
             stack.extend([(root, power)] * exp)
             continue
-        if remaining <= 0:
-            failed *= m
-            continue
-        d, used = _brent_rho(m, remaining, power)
+        d, used = _split(m, remaining, power)
         remaining -= used
         if d is None:
             failed *= m

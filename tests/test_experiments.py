@@ -1,5 +1,7 @@
 import bisect
 import math
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -403,3 +405,14 @@ class TestSearchBands:
     def test_binary_powers_of_three_to_a_huge_limit(self):
         hits = smooth_sparse_search(2, 2, [3], 10**5000)
         assert [h.value for h in hits] == [1, 3, 9]
+
+
+def test_import_leaves_the_process_pool_out():
+    # concurrent.futures.process pulls in multiprocessing and socket, about
+    # 25 ms of import that only --threads N > 1 uses
+    code = (
+        "import sys, smoothdigits, smoothdigits.cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False"]

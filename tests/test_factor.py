@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from smoothdigits import _fastfactor, factor
 from smoothdigits.factor import (
+    DEFAULT_BUDGET,
     Factorization,
     _brent_rho,
+    _ecm,
+    _pm1,
     _rho_power,
     IncompleteFactorizationError,
     PrimeSet,
@@ -178,6 +181,142 @@ class TestFactorize:
         # composite cofactor is a legitimate partial state
         partial = Factorization(n=30, pairs=((2, 1),), cofactor=15)
         assert not partial.complete
+
+
+class _CountingModulus(int):
+    """n that counts the reductions `x % n` made with it."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        _CountingModulus.reductions += 1
+        return other % int(self)
+
+
+def _semiprimes():
+    sympy = pytest.importorskip("sympy")
+    prime = st.integers(min_value=2**19, max_value=2**40 - 1).map(sympy.prevprime)
+    return st.tuples(prime, prime).filter(lambda pq: pq[0] != pq[1])
+
+
+class TestSplittingMethods:
+    """Pollard p - 1 and ECM after a share of rho, all on one budget counted
+    in modular multiplications; sympy is the independent oracle."""
+
+    # primes of 35 and 40 bits, 36 and 42 bits, and 2**136 + 1 (its cofactor
+    # after 257 and 383521 has primes of 42 and 69 bits); the first and the
+    # last stay partial with rho alone, and ECM with B1 = 300, B2 = 15000
+    # leaves the second partial
+    HARD = [18889466072216069210113, 151115727451829720580097, 2**136 + 1]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts every reduction mod a `_CountingModulus` and charges each
+        pow(y, e, n) the multiplications of its square-and-multiply."""
+
+        def pow_spy(y, e, n):
+            _CountingModulus.reductions += e.bit_length() + e.bit_count() - 2
+            return pow(y, e, int(n))
+
+        monkeypatch.setattr(factor, "pow", pow_spy, raising=False)
+        _CountingModulus.reductions = 0
+        return _CountingModulus
+
+    @pytest.mark.parametrize(
+        "method, n, max_iter",
+        [
+            (lambda n, b: _brent_rho(n, b), 1000003 * 1000033, 20_000),
+            (lambda n, b: _brent_rho(n, b), 1019 * 7151, 20_000),  # backtracks
+            (lambda n, b: _brent_rho(n, b), (2**89 - 1) * (2**61 - 1), 5000),
+            (lambda n, b: _brent_rho(n, b, 6), 1000003 * 1000033, 20_000),
+            (lambda n, b: _brent_rho(n, b, 350), (2**89 - 1) * (2**61 - 1), 5000),
+            (_pm1, (2**31 - 1) * (2**61 - 1), DEFAULT_BUDGET),  # found in stage 1
+            (_pm1, 1000003 * (2**61 - 1), DEFAULT_BUDGET),  # 2**61 - 2 has 1321 > B1
+            (_pm1, (2**89 - 1) * (2**61 - 1), DEFAULT_BUDGET),
+            (_ecm, 18889466072216069210113, DEFAULT_BUDGET),
+            (_ecm, (2**89 - 1) * (2**61 - 1), 30_000),
+        ],
+    )
+    def test_used_counts_every_multiplication(self, counted, method, n, max_iter):
+        d, used = method(counted(n), max_iter)
+        assert used == counted.reductions
+        assert used <= max_iter
+        if d is not None:
+            assert 1 < d < n and n % d == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(pq=_semiprimes())
+    def test_pm1_splits_match_sympy(self, pq):
+        sympy = pytest.importorskip("sympy")
+        n = pq[0] * pq[1]
+        d, used = _pm1(n, DEFAULT_BUDGET)
+        assert used <= DEFAULT_BUDGET
+        assert d is None or d in sympy.factorint(n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pq=_semiprimes(), max_iter=st.integers(min_value=0, max_value=60_000))
+    def test_ecm_splits_match_sympy(self, pq, max_iter):
+        sympy = pytest.importorskip("sympy")
+        n = pq[0] * pq[1]
+        d, used = _ecm(n, max_iter)
+        assert used <= max_iter
+        assert d is None or d in sympy.factorint(n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pq=_semiprimes(), budget=st.sampled_from([0, 5000, 20_000, DEFAULT_BUDGET]))
+    def test_factorize_matches_sympy(self, pq, budget):
+        sympy = pytest.importorskip("sympy")
+        n = pq[0] * pq[1]
+        fact = factorize(n, budget)
+        assert fact.reconstruct() == n
+        if fact.complete:
+            assert list(fact.pairs) == sorted(sympy.factorint(n).items())
+
+    def test_the_methods_find_their_factors(self):
+        # 2**31 - 2 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331 is 1000-smooth
+        assert _pm1((2**31 - 1) * (2**61 - 1), DEFAULT_BUDGET)[0] == 2**31 - 1
+        assert _ecm(self.HARD[0], DEFAULT_BUDGET)[0] in (33306119579, 567147008147)
+
+    @pytest.mark.parametrize("n", HARD)
+    def test_hard_values_complete(self, n):
+        fact = factorize(n)
+        assert fact.complete
+        assert fact == factorize(n)  # deterministic: the same record twice
+
+    def test_last_rho_goes_past_the_share(self, monkeypatch):
+        # the last rho walks the share's path again, so a walk no longer
+        # than the share could only repeat it
+        calls = []
+
+        def spy(n, max_iter, power=2):
+            calls.append((n, max_iter))
+            return _brent_rho(n, max_iter, power)
+
+        monkeypatch.setattr(factor, "_brent_rho", spy)
+        assert not factorize(2**128 + 1).complete
+        for n in {n for n, _ in calls}:
+            first, *rest = [b for m, b in calls if m == n]
+            assert first == factor._RHO_SHARE
+            assert all(b > factor._RHO_SHARE for b in rest)
+
+    @pytest.mark.parametrize("n", HARD + [2**128 + 1, 2**137 + 1])
+    @pytest.mark.parametrize("budget", [5000, 50_000, DEFAULT_BUDGET])
+    def test_one_budget_over_all_methods(self, monkeypatch, n, budget):
+        spent = []
+
+        def spy(method):
+            def run(m, max_iter, *args):
+                d, used = method(m, max_iter, *args)
+                assert 0 <= used <= max_iter
+                spent.append(used)
+                return d, used
+
+            return run
+
+        for name in ("_brent_rho", "_pm1", "_ecm"):
+            monkeypatch.setattr(factor, name, spy(getattr(factor, name)))
+        assert factorize(n, budget).reconstruct() == n
+        assert spent and sum(spent) <= budget
 
 
 class TestAlgebraicSplit:
