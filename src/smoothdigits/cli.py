@@ -214,6 +214,14 @@ def _digit_budget(args):
     return None if args.f is None else qmod.parse_budget_spec(args.f)
 
 
+def _check_reach(args, budget, wanted):
+    """Exit 2 before any data when a --f stream needs more than its single
+    digits for `wanted` values (None: as many as --max-value allows) and
+    its members past them are out of reach (sequences._REACH_BITS)."""
+    if budget is not None and (wanted is None or wanted >= args.base):
+        qmod._next_round(args.base, budget, args.base, args.max_value)
+
+
 def _cmd_enum(args) -> int:
     if args.kind in ("sparse", "powersum") and args.take is None and args.max_value is None:
         raise ValueError("unbounded stream: give --take and/or --max-value")
@@ -223,6 +231,7 @@ def _cmd_enum(args) -> int:
             stream = qmod.sparse_sequence(args.base, args.k, max_value=args.max_value)
         else:
             stream = qmod.sparse_sequence_f(args.base, budget, max_value=args.max_value)
+            _check_reach(args, budget, args.take)
     elif args.kind == "powersum":
         if not args.bases:
             raise ValueError("--bases is required for powersum streams")
@@ -381,16 +390,18 @@ _Seen = namedtuple("_Seen", "j P")
 
 
 def _cmd_survey_sparse(args) -> int:
+    budget = _digit_budget(args)
     records = xmod.sparse_survey(
         args.base,
         args.count,
         k=args.k,
-        budget_fn=_digit_budget(args),
+        budget_fn=budget,
         factor_budget=args.budget,
         eps=args.eps,
         max_value=args.max_value,
         workers=args.threads,
     )
+    _check_reach(args, budget, args.count)
     seen = []
 
     def dicts():

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -80,14 +80,8 @@ def decompose(n: int, base: int) -> DigitExpansion:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    terms = []
-    exp = 0
-    while n:
-        n, d = divmod(n, base)
-        if d:
-            terms.append((exp, d))
-        exp += 1
-    return DigitExpansion(base=base, terms=tuple(terms))
+    terms = tuple([(e, d) for e, d in enumerate(_to_limbs(n, base)) if d])
+    return DigitExpansion(base=base, terms=terms)
 
 
 def recompose(e: DigitExpansion) -> int:
@@ -107,37 +101,24 @@ def recompose(e: DigitExpansion) -> int:
 def nz_count(n: int, base: int, bound: Optional[float] = None) -> int:
     """Number of nonzero digits of n in base `base`.
 
-    With a bound, counting stops once the count passes it: the result is
-    exact when the true count is at most `bound`, and otherwise some value
-    above `bound`."""
+    With a bound, the result is exact when the true count is at most
+    `bound`, and otherwise some value above `bound`; the count made here
+    is always exact, which meets both."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if base == 2:
         return n.bit_count()
-    if bound is None:
-        bound = math.inf
-    if base <= _CHUNK_LIMIT:
-        size, _, table = _nz_chunk_table(base)
-        count = 0
-        while n and count <= bound:
-            n, chunk = divmod(n, size)
-            count += table[chunk]
-        return count
-    count = 0
-    while n and count <= bound:
-        n, d = divmod(n, base)
-        if d:
-            count += 1
-    return count
+    size, count = _limb_counter(base)
+    return count(np.array(_to_limbs(n, size))).item()
 
 
 @lru_cache(maxsize=64)
-def _nz_chunk_table(base: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """(size, table, counts): size is the largest power of `base` up to
-    _CHUNK_LIMIT, and table[c] (uint8) and counts[c] (a tuple, for scalar
-    lookups) are the number of nonzero digits of c for 0 <= c < size.
+def _nz_chunk_table(base: int) -> tuple[int, np.ndarray]:
+    """(size, table): size is the largest power of `base` up to
+    _CHUNK_LIMIT, and table[c] (uint8) is the number of nonzero digits of
+    c for 0 <= c < size.
 
     Leading zeros of a chunk add nothing, so the counts of the chunks of n
     in base `size` sum to nz_count(n, base).
@@ -148,7 +129,18 @@ def _nz_chunk_table(base: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
         # c = d * len(table) + rest: a new top digit d in front of rest
         table = np.add.outer(step, table).ravel()
     table.flags.writeable = False  # cached: every caller gets this array
-    return len(table), table, tuple(table.tolist())
+    return len(table), table
+
+
+def _limb_counter(base: int) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """(size, count): count(limbs) is the number of nonzero base-`base`
+    digits of limbs in base size, along the last axis.  A base up to
+    _CHUNK_LIMIT takes the chunk size and table of _nz_chunk_table; a larger
+    base is its own limb, where a nonzero limb is one nonzero digit."""
+    if base <= _CHUNK_LIMIT:
+        size, table = _nz_chunk_table(base)
+        return size, lambda v: table[v.astype(np.intp, copy=False)].sum(axis=-1)
+    return base, lambda v: np.count_nonzero(v, axis=-1)
 
 
 def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
@@ -158,17 +150,11 @@ def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
     rows n ... n + s - 1 are the s lanes of one 2-D limb array, and each
     step multiplies every lane by a**s in place, with carries, and counts
     all lanes at once, so a row costs time linear in the length of a**n
-    and about 1/s of a step's numpy calls.  A base up to _CHUNK_LIMIT takes
-    the chunk size and table of nz_count; a larger base is its own limb
-    (w = 1), where a nonzero limb is one nonzero digit.  Rows are computed
-    at most one step (s - 1 rows) ahead of the consumer.
+    and about 1/s of a step's numpy calls.  The limbs and their counts are
+    those of nz_count (_limb_counter).  Rows are computed at most one step
+    (s - 1 rows) ahead of the consumer.
     """
-    if base <= _CHUNK_LIMIT:
-        size, table, _ = _nz_chunk_table(base)
-        count = lambda v: table[v.astype(np.intp, copy=False)].sum(axis=1).tolist()
-    else:
-        size = base
-        count = lambda v: np.count_nonzero(v, axis=1).tolist()
+    size, count = _limb_counter(base)
     # After v *= a**s a limb is at most (size - 1) * a**s, and after a carry
     # pass it is below size + a**s <= size * a**s: the dtype holds that.  The
     # tier is the one a (s = 1) needs, so a wider step never costs a slower
@@ -180,11 +166,10 @@ def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
         s += 1
     per_limb = size.bit_length() - 1  # size >= 2**per_limb
     grow = (a**s).bit_length() // per_limb + 1  # limbs one step can add
-    power = a**start
-    used = power.bit_length() // per_limb + 1
+    first = _to_limbs(a**start, size)
+    used = len(first)
     limbs = np.zeros((s, used + grow), dtype=dtype)
-    _to_limbs(power, size, limbs[0])
-    limbs[1:] = limbs[0]
+    limbs[:, :used] = first
     # The first step turns lane i from a**start into a**(start + i).
     step = np.array([a**i for i in range(s)], dtype=dtype)[:, None]
     while True:
@@ -204,31 +189,39 @@ def power_nz_counts(a: int, base: int, start: int) -> Iterator[int]:
         used += grow
         while not limbs[-1, used - 1]:
             used -= 1
-        yield from count(limbs[:, :used])
+        yield from count(limbs[:, :used]).tolist()
         step = a**s
 
 
-def _to_limbs(x: int, size: int, out: np.ndarray) -> None:
-    """Write the base-`size` limbs of x >= 0, lowest first, into `out`.
+def _to_limbs(x: int, size: int) -> list[int]:
+    """The base-`size` limbs of x >= 1, lowest first, without leading
+    zeros.  This is the one conversion of an integer to its digits: with
+    size = base the limbs are the digits.
 
-    x is split in halves by size**(2**j) until the parts are short, so the
-    conversion costs a few big divisions instead of one per limb.
+    x is split in halves by size**(32 * 2**j) down to parts of at most 32
+    limbs, so the conversion costs a few big divisions and one small divmod
+    per limb instead of one divmod of the whole of x per limb.
     """
-    powers = [size]  # powers[j] = size**(2**j)
+    powers = [size**32]  # powers[j] = size**(32 * 2**j): a leaf holds 32 limbs
     while powers[-1] <= x:
         powers.append(powers[-1] ** 2)
+    out = []
 
-    def fill(x, j, at):  # x < powers[j], at most 2**j limbs
-        if j <= 5:
+    def fill(x, j):  # x < powers[j]
+        if not j:
             while x:
-                x, out[at] = divmod(x, size)
-                at += 1
+                x, d = divmod(x, size)
+                out.append(d)
             return
         hi, lo = divmod(x, powers[j - 1])
-        fill(lo, j - 1, at)
-        fill(hi, j - 1, at + (1 << (j - 1)))
+        end = len(out) + (32 << (j - 1))
+        fill(lo, j - 1)
+        if hi:
+            out.extend([0] * (end - len(out)))
+            fill(hi, j - 1)
 
-    fill(x, len(powers) - 1, 0)
+    fill(x, len(powers) - 1)
+    return out
 
 
 def block_count(n: int, base: int) -> int:
@@ -241,12 +234,8 @@ def block_count(n: int, base: int) -> int:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    digits = []
-    while n:
-        n, d = divmod(n, base)
-        digits.append(d)
     # Run count is direction-independent; no need to reverse.
-    return sum(1 for _ in groupby(digits))
+    return sum(1 for _ in groupby(_to_limbs(n, base)))
 
 
 def condition_3_2(n: int, base: int, k: int) -> bool:

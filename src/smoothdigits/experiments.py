@@ -480,7 +480,7 @@ def _powers_mod(p, modulus, n):
 def _low_digit_screen(base, k):
     """residues -> mask of those base does not divide and whose digits hold
     at most k nonzero digits."""
-    size, table, _ = _nz_chunk_table(base)
+    size, table = _nz_chunk_table(base)
 
     def screen(res):
         keep = res % base != 0

@@ -168,8 +168,8 @@ def _sparse_gen(base, budget, max_value):
     of b and high has digits - 1 nonzero digits, all at or above span.
     The leaves high + d, d < b, have `digits` nonzero digits and every
     other member more, so one read of the budget's peak over the node
-    prunes it whole.  The stream ends once no allowance from b**m on
-    reaches two digits."""
+    prunes it whole.  Each round starts at the next power of b whose round
+    the peak lets hold two digits (_next_round)."""
     fn, peak = budget.fn, budget.peak
 
     def walk(high, digits, span):
@@ -188,18 +188,54 @@ def _sparse_gen(base, budget, max_value):
 
     def rounds():
         yield from range(1, base)
-        lo = base
-        while True:
-            if max_value is not None and lo > max_value or peak(lo, None) < 2:
-                return
-            if peak(lo, base * lo - 1) >= 2:
-                for h in range(lo, base * lo, lo):
-                    yield from walk(h, 2, lo)
-            lo *= base
+        lo = _next_round(base, budget, base, max_value)
+        while lo is not None and (max_value is None or lo <= max_value):
+            for h in range(lo, base * lo, lo):
+                yield from walk(h, 2, lo)
+            lo = _next_round(base, budget, base * lo, max_value)
 
     if max_value is None:
         return rounds()
     return takewhile(lambda v: v <= max_value, rounds())
+
+
+# A sparse stream does not look for its next round past 2**_REACH_BITS:
+# writing one member that long in decimal takes seconds.
+_REACH_BITS = 1 << 20
+
+
+def _next_round(base, budget, lo, max_value):
+    """The first power lo * b**k of the base whose round [lo * b**k,
+    lo * b**(k + 1)) the budget's peak lets hold two or more digits, or
+    None when the peak allows no more from lo on, or none up to max_value.
+    Raises ValueError when no such round starts below 2**_REACH_BITS.
+
+    The peak over the first k + 1 rounds grows with k, so k is found by
+    doubling and then bisection: a few peak reads instead of one a round,
+    however many rounds a slow-rising budget holds at one digit."""
+    if budget.peak(lo, None) < 2:
+        return None
+    end = 1 << _REACH_BITS
+    if max_value is not None:
+        end = min(end, max_value)
+
+    def holds(k):  # a round among the first k + 1 from lo may hold two digits
+        return budget.peak(lo, lo * base ** (k + 1) - 1) >= 2
+
+    below, above = -1, 0  # not holds(below) (or below = -1)
+    while not holds(above):
+        if lo * base ** (above + 1) > end:
+            if end == max_value:
+                return None
+            raise ValueError(
+                f"the digit budget allows no further member below 2**{_REACH_BITS}: "
+                "out of reach"
+            )
+        below, above = above, 2 * above + 1
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if holds(mid) else (mid, above)
+    return lo * base**above
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,29 @@ class TestEnum:
         proc = run_cli("enum", "--base", "2", "--f", "const:1", "--take", "5")
         assert proc.stdout.split() == ["1"]
 
+    def test_slow_rising_budget_ends(self):
+        # loglog:0.1 first allows two digits past e^(e^20), about 2**(7e8):
+        # the stream used to read the budget at every round up to there,
+        # hence the timeout
+        proc = subprocess.run(
+            RUN + ["enum", "--base", "2", "--f", "loglog:0.1", "--take", "5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "out of reach" in proc.stderr
+
+    def test_slow_rising_budget_in_reach(self, tmp_path, capsys):
+        # the single digits meet --take 1; loglog:0.2 first allows two
+        # digits in [2**31777, 2**31778), and its next value is 2**31778 + 1
+        assert main(["enum", "--base", "2", "--f", "loglog:0.1", "--take", "1"]) == 0
+        assert main(["enum", "--base", "2", "--f", "loglog:0.2", "--take", "2"]) == 0
+        assert capsys.readouterr().out.split() == ["1", "1", str(2**31778 + 1)]
+        out = tmp_path / "out"
+        args = ["survey", "sparse", "--base", "2", "--f", "loglog:0.1", "--count", "5"]
+        assert main(args + ["--output", str(out)]) == 2
+        assert not out.exists()
+        assert "out of reach" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "sqrtll:nan"])
     def test_non_finite_budget_parameter_rejected(self, spec):
         # sqrtll:nan used to hang after its first value, hence the timeout

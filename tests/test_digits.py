@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,27 @@ from smoothdigits.digits import (
 )
 
 BASES = [2, 3, 10, 36]
+
+# Bases of every limb kind: bit counting (2), chunk tables (up to 2**16),
+# one digit per limb in uint32 or int64, and Python-int limbs above 2**63.
+CONVERSION_BASES = [2, 3, 10, 2**16 - 1, 2**16, 2**16 + 1, 10**12, 2**61 - 1, 2**64 + 13]
+
+
+def digit_loop(n, base):
+    """The digits of n, lowest first, one divmod at a time: the reference
+    the conversion through _to_limbs must agree with."""
+    digits = []
+    while n:
+        n, d = divmod(n, base)
+        digits.append(d)
+    return digits
+
+
+def assert_conversions_match_the_loop(n, base):
+    digits = digit_loop(n, base)
+    assert nz_count(n, base) == len(digits) - digits.count(0)
+    assert decompose(n, base).terms == tuple((e, d) for e, d in enumerate(digits) if d)
+    assert block_count(n, base) == sum(1 for _ in itertools.groupby(digits))
 
 
 class TestDecompose:
@@ -122,6 +145,69 @@ def test_power_nz_counts_match_nz_count(a, base, start, rows):
     assert got == [nz_count(a**n, base) for n in range(start, start + rows)]
 
 
+@st.composite
+def digit_runs(draw):
+    """(n, base) with n drawn as runs of equal digits, up to 721 digits:
+    long runs of zeros leave whole halves of a split empty, and the lengths
+    cross the 32-limb leaves of _to_limbs and the splits above them."""
+    base = draw(st.sampled_from(CONVERSION_BASES))
+    digit = st.one_of(st.just(0), st.just(base - 1), st.integers(0, base - 1))
+    runs = draw(st.lists(st.tuples(digit, st.integers(1, 60)), min_size=1, max_size=12))
+    n = draw(st.integers(1, base - 1))  # the top digit
+    for d, length in reversed(runs):
+        n = n * base**length + d * (base**length - 1) // (base - 1)
+    return n, base
+
+
+class TestConversion:
+    @settings(max_examples=100, deadline=None)
+    @given(digit_runs())
+    def test_matches_the_digit_loop(self, case):
+        assert_conversions_match_the_loop(*case)
+
+    @pytest.mark.parametrize("base", CONVERSION_BASES)
+    def test_leaf_edges(self, base):
+        # A leaf of _to_limbs holds 32 limbs: 32 digits for decompose and
+        # block_count, and 32 chunks (w digits each) for nz_count.
+        w = round(math.log(_nz_chunk_table(base)[0], base)) if base <= 2**16 else 1
+        for limbs in (32, 64, 128):
+            for e in {limbs, limbs * w}:
+                for n in (base**e - 1, base**e, base**e + 1, base ** (e - 1) * (base - 1)):
+                    assert_conversions_match_the_loop(n, base)
+
+    @pytest.mark.parametrize("base", [3, 10, 2**16 - 1, 2**16])
+    def test_counts_past_255(self, base):
+        # table counts are uint8; their sum must not wrap at 256
+        assert nz_count(base**300 - 1, base) == 300
+        assert nz_count((base**600 - 1) // (base + 1), base) == 300
+
+    def test_million_bit_input(self):
+        # 3**630000 + 1 has 998 527 bits.  One divmod per digit is quadratic
+        # in the length: nz_count in base 10 took about 10 s, and decompose
+        # in base 2 would take about 2 min.  The four conversions take about
+        # 5 s on 2 shared cores; the bound leaves 3x.
+        n = 3**630000 + 1
+        t0 = time.perf_counter()
+        binary = decompose(n, 2)
+        hex_count, hex_blocks = nz_count(n, 16), block_count(n, 16)
+        decimal_count = nz_count(n, 10)
+        elapsed = time.perf_counter() - t0
+        bits = bin(n)[:1:-1]
+        assert binary.exponents == tuple(e for e, c in enumerate(bits) if c == "1")
+        assert set(binary.digits) == {1}
+        hex_digits = hex(n)[2:]
+        assert hex_count == len(hex_digits) - hex_digits.count("0")
+        assert hex_blocks == sum(1 for _ in itertools.groupby(hex_digits))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            decimal = str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert decimal_count == len(decimal) - decimal.count("0")
+        assert elapsed < 15.0, f"took {elapsed:.1f}s"
+
+
 class TestNzCount:
     def test_examples(self):
         assert nz_count(1024, 2) == 1
@@ -132,13 +218,12 @@ class TestNzCount:
 
     @pytest.mark.parametrize("base", [2, 3, 5, 7, 10, 255, 256, 2**16 - 1, 2**16])
     def test_chunk_table_equals_the_digit_loop(self, base):
-        size, table, counts = _nz_chunk_table(base)
+        size, table = _nz_chunk_table(base)
         expected = [0]
         for c in range(1, size):
             expected.append(expected[c // base] + (c % base != 0))
         assert size <= 2**16 < size * base
         assert size == base ** round(math.log(size, base))
-        assert counts == tuple(expected)
         assert table.tolist() == expected
         assert not table.flags.writeable  # one cached array serves every caller
 

@@ -235,6 +235,36 @@ class TestBudgetFamilies:
         assert f.peak(10**9, None) >= f(10**30)
 
 
+class TestRoundJump:
+    @pytest.mark.parametrize("start", [10, 40])
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    @pytest.mark.parametrize("spec", ["loglog:0.3", "sqrtll:0.42", "sqrtll:0.45"])
+    def test_jump_lands_on_the_first_round_that_may_hold_a_member(self, spec, base, start):
+        # The first round from base**start on whose peak allows two digits,
+        # by reading every round's peak, against the jump to it.  sqrtll
+        # with c below about 0.49 falls under 2 past 3814280 and rises back
+        # far later: from base**40 these skip up to 4174 rounds.
+        f = parse_budget_spec(spec)
+        lo = base**start
+        while f.peak(lo, base * lo - 1) < 2:
+            lo *= base
+        assert sequences._next_round(base, f, base**start, None) == lo
+
+    def test_out_of_reach_raises(self):
+        with pytest.raises(ValueError, match="out of reach"):
+            sequences._next_round(2, loglog_budget(0.1), 2, None)
+        stream = sparse_sequence_f(2, loglog_budget(0.1))
+        assert next(stream) == 1
+        with pytest.raises(ValueError, match="out of reach"):
+            next(stream)
+        # below a max_value the stream just ends
+        assert list(sparse_sequence_f(2, loglog_budget(0.1), max_value=2**100)) == [1]
+        # sqrtll:1e-6 stays below 2 even at 3814281, where it peaks
+        assert list(sparse_sequence_f(10, sqrt_budget(1e-6), max_value=10**50)) == list(range(1, 10))
+        with pytest.raises(ValueError, match="out of reach"):
+            list(sparse_sequence_f(10, sqrt_budget(1e-6)))
+
+
 class TestPowerSum:
     def test_first_terms(self):
         spec = PowerSumSpec(bases=(2, 2))
