@@ -467,6 +467,15 @@ def _record_options(parser, formats, handler):
     parser.set_defaults(handler=handler)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the machine's where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity: macOS, Windows
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothdigits",
@@ -482,8 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=_int_at_least(1),
-        default=1,
-        help="worker processes for surveys (default 1: fully sequential)",
+        default=_usable_cpus(),
+        help="worker processes that factor survey values of 2^31 or more; smaller "
+        "values stay in this process, and 1 runs everything in it (default: the "
+        "CPUs this process may run on, %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

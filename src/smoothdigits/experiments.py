@@ -13,13 +13,14 @@ are emitted with complete=False rather than dropped.
 # before that import went lazy, so a command's first record does not wait for it.
 import locale  # noqa: F401
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
 from typing import Iterator, Optional
 
 import numpy as np
 
+from . import _fastfactor
+from . import factor as _factor
 from .digits import _nz_chunk_table, decompose, nz_count, power_nz_counts
 from .factor import (
     DEFAULT_BUDGET,
@@ -156,7 +157,8 @@ def sparse_survey(
     Each record joins the expansion, the (possibly partial) factorization,
     the applicable thresholds, and the proof-trace summary.  Arguments are
     validated eagerly; records are then made one value at a time.
-    workers > 1 fans factorization out over processes; record order is
+    workers > 1 factors the values of 2**31 or more on that many
+    processes (see `_factor_in_batches`); the records and their order are
     unchanged.
     """
     if count < 1:
@@ -175,29 +177,58 @@ def sparse_survey(
 
 
 def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        facts = _factor_in_batches(values, factor_budget, pool)
-        for j, fact in enumerate(facts, start=1):
-            yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
+    facts = _factor_in_batches(values, factor_budget, workers)
+    for j, fact in enumerate(facts, start=1):
+        yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
 
 
-def _factor_in_batches(values, budget, pool):
+def _factor_in_batches(values, budget, workers):
     """factorize over values, a batch of 1, 2, 4, ... up to 256 values at a
-    time, in this process or, given a pool, on its workers: records built
-    after a whole batch run faster than records interleaved with each call,
-    the first still follows one call, and no more than one batch is drawn
-    ahead of the records."""
+    time: records built after a whole batch run faster than records
+    interleaved with each call, the first still follows one call, and no
+    more than one batch is drawn ahead of the records.
+
+    With workers > 1, a batch whose values are all at least
+    `_fastfactor.FAST_LIMIT` is mapped over a pool of that many processes,
+    in chunks of a quarter of each worker's share; the pool starts at the
+    first such batch.  Smaller values factor in this process, faster than
+    they would cross to a worker and back."""
     values = iter(values)
-    size = 1
-    while batch := list(islice(values, size)):
-        if pool is None:
-            yield from [factorize(v, budget) for v in batch]
-        else:
-            yield from pool.map(factorize, batch, repeat(budget), chunksize=16)
-        size = min(2 * size, 256)
+    pool = None
+    try:
+        size = 1
+        while batch := list(islice(values, size)):
+            if workers > 1 and min(batch) >= _fastfactor.FAST_LIMIT:
+                if pool is None:
+                    # imported here: it pulls in multiprocessing, which most runs never need
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(workers)
+                chunk = max(1, len(batch) // (4 * workers))
+                # factor.factorize, not the `factorize` global: the pool
+                # pickles the function by name, and a wrapper put on the
+                # global in this process has none.
+                yield from pool.map(_factor.factorize, batch, repeat(budget), chunksize=chunk)
+            else:
+                yield from [factorize(v, budget) for v in batch]
+            size = min(2 * size, 256)
+    finally:
+        if pool is not None:
+            _stop_pool(pool)
+
+
+def _stop_pool(pool):
+    """Shut the pool down without waiting for chunks still running, as
+    `ProcessPoolExecutor.terminate_workers` does from Python 3.14: cancel
+    the chunks not yet started and terminate the workers.  After the last
+    batch the workers are idle; after an early close, no worker outlives
+    the survey or delays the exit."""
+    workers = list(pool._processes.values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
+        process.terminate()
+    for process in workers:
+        process.join()
 
 
 @dataclass

@@ -342,9 +342,10 @@ def _pow_cost(e: int) -> int:
     return e.bit_length() + e.bit_count() - 2
 
 
-def _brent_rho(n: int, max_iter: int, power: int = 2):
-    """Deterministic Brent rho on y -> y**power + c.  Returns (nontrivial
-    factor or None, used).
+def _brent_rho(n: int, max_iter: int, power: int = 2, c: int = 1):
+    """Deterministic Brent rho on y -> y**power + c, from y = 2 and the
+    given c, then c + 1, ... while a walk's cycle collapses.  Returns
+    (nontrivial factor or None, used).
 
     `used` counts modular multiplications: a step of the walk costs 1 for
     y**2 + c and `_pow_cost(power)` otherwise, and a compared step 1 more,
@@ -356,7 +357,7 @@ def _brent_rho(n: int, max_iter: int, power: int = 2):
     """
     step = 1 if power == 2 else _pow_cost(power)
     used = 0
-    for c in count(1):
+    for c in count(c):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
@@ -553,10 +554,10 @@ _RHO_SHARE = 4000
 def _split(m: int, budget: int, power: int):
     """A nontrivial factor of the composite m, or None, and the units used:
     rho with at most `_RHO_SHARE`, Pollard p - 1, ECM, then rho with what
-    is left, each only while the budget covers it.  The last rho walks the
-    first one's path again, so it runs only where it can go past it, and
-    where p - 1 cannot follow the share, rho takes the whole budget at
-    once."""
+    is left, each only while the budget covers it.  The last rho walks
+    with the next increment, c = 2, so it does not retrace the first one's
+    path, and where p - 1 cannot follow the share, rho takes the whole
+    budget at once."""
     if budget < _RHO_SHARE + sum(_pm1_plan()[3:]):
         return _brent_rho(m, budget, power)
     d, used = _brent_rho(m, _RHO_SHARE, power)
@@ -564,8 +565,8 @@ def _split(m: int, budget: int, power: int):
         if d is None:
             d, spent = method(m, budget - used)
             used += spent
-    if d is None and budget - used > _RHO_SHARE:
-        d, spent = _brent_rho(m, budget - used, power)
+    if d is None:
+        d, spent = _brent_rho(m, budget - used, power, 2)  # c = 2
         used += spent
     return d, used
 

@@ -2,15 +2,17 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from smoothdigits import bounds as bmod
-from smoothdigits.cli import EXIT_CLOSED_PIPE, RecordWriter, main
+from smoothdigits.cli import EXIT_CLOSED_PIPE, RecordWriter, build_parser, main
 from smoothdigits.factor import DEFAULT_BUDGET
 
 RUN = [sys.executable, "-m", "smoothdigits"]
@@ -844,6 +846,62 @@ def test_closed_pipe(args):
     proc.stderr.close()
     assert "Traceback" not in err
     assert status == EXIT_CLOSED_PIPE
+
+
+def _session_processes(sid):
+    pids = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                if os.getsid(int(name)) == sid:
+                    pids.append(int(name))
+            except OSError:  # gone since the listing
+                pass
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+@pytest.mark.parametrize(
+    "survey, lines",
+    [("survey sparse --base 2 --k 3 --count 3000", 2),
+     # reaches the workers at j = 32, before the reader goes
+     ("--threads 2 survey sparse --base 2 --k 2 --count 400", 50)],
+)
+def test_closed_pipe_leaves_no_worker(survey, lines):
+    # In a session of its own, so that a worker left behind can be found
+    # after the pipeline ends.  Each survey has seconds of work left.
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        ["bash", "-o", "pipefail", "-c", f"{' '.join(RUN)} {survey} | head -n {lines}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == EXIT_CLOSED_PIPE, err
+    assert "Traceback" not in err
+    assert len(out.splitlines()) == lines
+    assert _session_processes(proc.pid) == []
+
+
+def test_threads_default_to_the_usable_cpus():
+    args = build_parser().parse_args(["factor", "12"])
+    assert args.threads == len(os.sched_getaffinity(0))
+
+
+def test_small_values_start_no_pool():
+    # Values below 2**31 factor in this process whatever --threads says:
+    # the pool's modules are not even imported.
+    code = (
+        "import sys\n"
+        "from smoothdigits import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print('concurrent.futures.process' in sys.modules, status, file=sys.stderr)\n"
+    )
+    args = ["--threads", "2", "survey", "sparse", "--base", "10", "--k", "3", "--count", "2000"]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "False 0"
+    assert len(proc.stdout.splitlines()) == 2001
 
 
 class TestMainFunction:

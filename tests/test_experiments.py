@@ -103,6 +103,70 @@ class TestSparseSurvey:
         assert len(drawn) <= 1
         records.close()
 
+    def test_workers_map_factorize_by_name(self, monkeypatch):
+        # A wrapper on the module's factorize, as perfbench/tracer.py puts
+        # there, cannot be pickled; the pool must map a function by name.
+        real = experiments.factorize
+        seen = []
+
+        def wrapped(n, budget):
+            seen.append(n)
+            return real(n, budget)
+
+        seq = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3)]
+        monkeypatch.setattr(experiments, "factorize", wrapped)
+        par = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3, workers=2)]
+        assert par == seq
+        # The batches up to j = 511 hold values below 2**31 and stay in this
+        # process; the last one, from j = 512, goes to the workers.
+        assert seen == [r["value"] for r in seq[:511]]
+
+    def test_pool_takes_only_batches_past_the_small_core(self, monkeypatch):
+        import concurrent.futures
+
+        started, maps = [], []
+
+        class Pool:
+            _processes = {}
+
+            def __init__(self, workers):
+                started.append(workers)
+
+            def map(self, fn, values, budgets, chunksize):
+                maps.append((list(values), chunksize))
+                return map(fn, maps[-1][0], budgets)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        assert list(sparse_survey(10, 2000, k=3, workers=2))[-1].value < 2**31
+        assert started == [] and maps == []
+        seq = [survey_record_dict(r) for r in sparse_survey(2, 150, k=2)]
+        par = [survey_record_dict(r) for r in sparse_survey(2, 150, k=2, workers=2)]
+        assert par == seq
+        # 2**m + 1 first reaches 2**31 at j = 32: the batches from j = 32,
+        # 64 and 128, in chunks of a quarter of each worker's share
+        assert started == [2]
+        assert [(values[0], len(values), chunk) for values, chunk in maps] == [
+            (2**31 + 1, 32, 4), (2**63 + 1, 64, 8), (2**127 + 1, 23, 2),
+        ]
+
+    def test_early_close_stops_the_workers(self):
+        import multiprocessing
+
+        records = sparse_survey(2, 400, k=2, workers=2)
+        for rec in records:
+            if rec.j == 130:  # the batch from j = 128 is on the workers
+                break
+        assert multiprocessing.active_children()
+        start = time.perf_counter()
+        records.close()
+        # Closing waits for no chunk: the rest of that batch, hard values
+        # like 2**137 + 1 among them, took over a second.
+        assert time.perf_counter() - start < 0.5
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "count,kwargs",
         [(0, {"k": 2}), (5, {}), (5, {"k": 2, "eps": -1.0}), (5, {"k": 1})],

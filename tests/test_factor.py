@@ -283,21 +283,24 @@ class TestSplittingMethods:
         assert fact.complete
         assert fact == factorize(n)  # deterministic: the same record twice
 
-    def test_last_rho_goes_past_the_share(self, monkeypatch):
-        # the last rho walks the share's path again, so a walk no longer
-        # than the share could only repeat it
+    def test_last_rho_walks_another_map(self, monkeypatch):
+        # the last rho starts at the next increment, so it does not retrace
+        # the share's walk, which starts at c = 1
         calls = []
 
-        def spy(n, max_iter, power=2):
-            calls.append((n, max_iter))
-            return _brent_rho(n, max_iter, power)
+        def spy(n, max_iter, power=2, c=1):
+            calls.append((n, max_iter, c))
+            return _brent_rho(n, max_iter, power, c)
 
         monkeypatch.setattr(factor, "_brent_rho", spy)
         assert not factorize(2**128 + 1).complete
-        for n in {n for n, _ in calls}:
-            first, *rest = [b for m, b in calls if m == n]
-            assert first == factor._RHO_SHARE
-            assert all(b > factor._RHO_SHARE for b in rest)
+        last = []
+        for n in {n for n, _, _ in calls}:
+            first, *rest = [(b, c) for m, b, c in calls if m == n]
+            assert first == (factor._RHO_SHARE, 1)
+            assert all(c == 2 for _, c in rest)
+            last += rest
+        assert last, "no cofactor reached the last rho"
 
     @pytest.mark.parametrize("n", HARD + [2**128 + 1, 2**137 + 1])
     @pytest.mark.parametrize("budget", [5000, 50_000, DEFAULT_BUDGET])
