@@ -215,11 +215,11 @@ def _digit_budget(args):
 
 
 def _check_reach(args, budget, wanted):
-    """Exit 2 before any data when a --f stream needs more than its single
-    digits for `wanted` values (None: as many as --max-value allows) and
-    its members past them are out of reach (sequences._REACH_BITS)."""
-    if budget is not None and (wanted is None or wanted >= args.base):
-        qmod._next_round(args.base, budget, args.base, args.max_value)
+    """Exit 2 before any data when a --f stream runs out of reach
+    (sequences._REACH_BITS) before its first `wanted` values (None: as
+    many as --max-value allows)."""
+    if budget is not None:
+        qmod._check_reach(args.base, budget, wanted, args.max_value)
 
 
 def _cmd_enum(args) -> int:
@@ -492,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_int_at_least(1),
         default=_usable_cpus(),
-        help="worker processes that factor survey values of 2^31 or more; smaller "
-        "values stay in this process, and 1 runs everything in it (default: the "
+        help="worker processes that build survey records from the 16th on; the "
+        "first 15 stay in this process, and 1 runs everything in it (default: the "
         "CPUs this process may run on, %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

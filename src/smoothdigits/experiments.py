@@ -19,8 +19,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import _fastfactor
-from . import factor as _factor
 from .digits import _nz_chunk_table, decompose, nz_count, power_nz_counts
 from .factor import (
     DEFAULT_BUDGET,
@@ -88,7 +86,10 @@ class SurveyRecord:
     trace_size_condition: Optional[bool] = None
 
 
-def _survey_record(j, value, base, k, fact, eps, budget_fn) -> SurveyRecord:
+def _survey_record(j, value, base, k, fact, eps, f_value, delta0) -> SurveyRecord:
+    """The record of value.  k None means a digit-budget survey: f_value is
+    then the budget at value and delta0 its slack, or both are None when
+    thm13 does not apply."""
     expansion = decompose(value, base)
     nz = expansion.k
     complete = fact.complete
@@ -103,10 +104,8 @@ def _survey_record(j, value, base, k, fact, eps, budget_fn) -> SurveyRecord:
     t15 = cor15_threshold(value, eps)
     thresholds["cor15"] = t15
     thresholds["cor15_exceeded"] = None if t15 is None else bool(nz > t15)
-    if budget_fn is not None:
-        t13 = None if budget_fn.delta0 is None else thm13_threshold(
-            value, budget_fn(value), budget_fn.delta0, eps
-        )
+    if k is None:
+        t13 = None if delta0 is None else thm13_threshold(value, f_value, delta0, eps)
         thresholds["thm13"] = t13
         thresholds["thm13_exceeded"] = (
             None if (t13 is None or p_max is None) else bool(p_max > t13)
@@ -157,8 +156,8 @@ def sparse_survey(
     Each record joins the expansion, the (possibly partial) factorization,
     the applicable thresholds, and the proof-trace summary.  Arguments are
     validated eagerly; records are then made one value at a time.
-    workers > 1 factors the values of 2**31 or more on that many
-    processes (see `_factor_in_batches`); the records and their order are
+    workers > 1 builds the records from the 16th value on in that many
+    processes (see `_survey_records`); the records and their order are
     unchanged.
     """
     if count < 1:
@@ -176,45 +175,74 @@ def sparse_survey(
     )
 
 
+# Batches of fewer values than this are built in the survey's process, so
+# that the first record and short surveys never wait for a pool to start,
+# and so that a tracer in this process sees every layer of a record: in
+# base 10 the first value with a proof trace, 11, comes at j = 10.
+_POOL_BATCH = 16
+
+
 def _survey_records(values, base, k, budget_fn, factor_budget, eps, workers):
-    facts = _factor_in_batches(values, factor_budget, workers)
-    for j, fact in enumerate(facts, start=1):
-        yield _survey_record(j, fact.n, base, k, fact, eps, budget_fn)
+    """The records of values, from j = 1, made a batch of 1, 2, 4, ... up
+    to 256 values at a time: records built after a whole batch is factored
+    run faster than records interleaved with each call, the first still
+    follows one call, and no more than one batch is drawn ahead of the
+    records.
 
+    With workers > 1, each batch from the one of _POOL_BATCH values on is
+    mapped over a pool of that many processes, which build its records
+    whole, in chunks of half of each worker's share; the pool starts at
+    the first such batch.  A batch is submitted before the records of the
+    one before it are yielded, so the workers build while this process
+    writes.  The budget at each value is read here: a DigitBudget holds
+    closures, which do not pickle."""
+    delta0 = None if budget_fn is None else budget_fn.delta0
 
-def _factor_in_batches(values, budget, workers):
-    """factorize over values, a batch of 1, 2, 4, ... up to 256 values at a
-    time: records built after a whole batch run faster than records
-    interleaved with each call, the first still follows one call, and no
-    more than one batch is drawn ahead of the records.
+    def budget_at(v):
+        return None if delta0 is None else budget_fn(v)
 
-    With workers > 1, a batch whose values are all at least
-    `_fastfactor.FAST_LIMIT` is mapped over a pool of that many processes,
-    in chunks of a quarter of each worker's share; the pool starts at the
-    first such batch.  Smaller values factor in this process, faster than
-    they would cross to a worker and back."""
     values = iter(values)
     pool = None
+    ahead = ()  # the records of the batch on the pool
+    j = 1
     try:
         size = 1
         while batch := list(islice(values, size)):
-            if workers > 1 and min(batch) >= _fastfactor.FAST_LIMIT:
+            js = range(j, j + len(batch))
+            if workers < 2 or size < _POOL_BATCH:
+                facts = [factorize(v, factor_budget) for v in batch]
+                yield from (
+                    _survey_record(i, v, base, k, fact, eps, budget_at(v), delta0)
+                    for i, v, fact in zip(js, batch, facts)
+                )
+            else:
                 if pool is None:
-                    # imported here: it pulls in multiprocessing, which most runs never need
+                    # imported here: it pulls in multiprocessing, which short runs never need
                     from concurrent.futures import ProcessPoolExecutor
 
                     pool = ProcessPoolExecutor(workers)
-                chunk = max(1, len(batch) // (4 * workers))
-                # factor.factorize, not the `factorize` global: the pool
-                # pickles the function by name, and a wrapper put on the
-                # global in this process has none.
-                yield from pool.map(_factor.factorize, batch, repeat(budget), chunksize=chunk)
-            else:
-                yield from [factorize(v, budget) for v in batch]
+                running = pool.map(
+                    _pool_record, js, batch, map(budget_at, batch),
+                    repeat((base, k, factor_budget, eps, delta0)),
+                    chunksize=max(1, len(batch) // (2 * workers)),
+                )
+                yield from ahead
+                ahead = running
+            j += len(batch)
             size = min(2 * size, 256)
+        yield from ahead
     finally:
         if pool is not None:
             _stop_pool(pool)
+
+
+def _pool_record(j, value, f_value, survey):
+    """_survey_record on a worker.  The pool pickles this function by name,
+    which a wrapper put on a global of this module, as perfbench/tracer.py
+    does, would not have."""
+    base, k, factor_budget, eps, delta0 = survey
+    fact = factorize(value, factor_budget)
+    return _survey_record(j, value, base, k, fact, eps, f_value, delta0)
 
 
 def _stop_pool(pool):
@@ -222,13 +250,18 @@ def _stop_pool(pool):
     `ProcessPoolExecutor.terminate_workers` does from Python 3.14: cancel
     the chunks not yet started and terminate the workers.  After the last
     batch the workers are idle; after an early close, no worker outlives
-    the survey or delays the exit."""
+    the survey or delays the exit.
+
+    The pool's manager thread reaps the terminated workers itself, and a
+    join here could race it: the loser's waitpid fails and leaves the
+    process listed as running.  So wait for that thread, which ends once
+    every worker is reaped."""
     workers = list(pool._processes.values())
+    manager = pool._executor_manager_thread
     pool.shutdown(wait=False, cancel_futures=True)
     for process in workers:
         process.terminate()
-    for process in workers:
-        process.join()
+    manager.join()
 
 
 @dataclass

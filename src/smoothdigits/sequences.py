@@ -47,6 +47,7 @@ class DigitBudget:
 
     peak(lo, hi) is the largest allowance on [lo, hi]; hi None means no
     upper end, and math.inf that the allowance grows without bound there.
+    least(lo, hi) is a lower bound on the allowance there, by default 1.
     delta0 is the supremum of admissible slack for the f-indexed prime
     factor threshold; None when the family grows too fast for that
     threshold to apply.
@@ -55,6 +56,7 @@ class DigitBudget:
     fn: Callable[[int], float]
     delta0: Optional[float]
     peak: Callable[[int, Optional[int]], float]
+    least: Callable[[int, Optional[int]], float] = lambda lo, hi: 1.0
 
     def __call__(self, n: int) -> float:
         return self.fn(n)
@@ -63,7 +65,10 @@ class DigitBudget:
 def constant_budget(c: float) -> DigitBudget:
     if c < 1:
         raise ValueError("digit budget must be >= 1")
-    return DigitBudget(fn=lambda n: float(c), delta0=1.0, peak=lambda lo, hi: float(c))
+    def flat(lo: int, hi: Optional[int]) -> float:
+        return float(c)
+
+    return DigitBudget(fn=lambda n: float(c), delta0=1.0, peak=flat, least=flat)
 
 
 def loglog_budget(c: float) -> DigitBudget:
@@ -79,12 +84,18 @@ def loglog_budget(c: float) -> DigitBudget:
     def peak(lo: int, hi: Optional[int]) -> float:
         return math.inf if hi is None else fn(hi)  # fn never decreases
 
-    return DigitBudget(fn=fn, delta0=None, peak=peak)
+    return DigitBudget(fn=fn, delta0=None, peak=peak, least=lambda lo, hi: fn(lo))
 
 
 # The least n with loglogloglog n > 0, the first integer above e^(e^e);
 # f of sqrt_budget is 1 below it.
 _SQRT_START = next(n for n in count(math.floor(math.exp(math.exp(math.e)))) if log_tower(n, 4))
+
+
+# The trough of g(x) = x*log x/log log x, where (log x + 1)*log log x = 1:
+# x = loglog n there (n near 2**124), and g rounded down, so that f of
+# sqrt_budget is at least c*sqrt(_SQRT_TROUGH_G) from _SQRT_START on.
+_SQRT_TROUGH_X, _SQRT_TROUGH_G = 4.452226, 16.5785
 
 
 def sqrt_budget(c: float) -> DigitBudget:
@@ -109,7 +120,20 @@ def sqrt_budget(c: float) -> DigitBudget:
         ends = (lo, hi, start) if lo <= start <= hi else (lo, hi)
         return max(map(fn, ends))
 
-    return DigitBudget(fn=fn, delta0=1.0, peak=peak)
+    def least(lo: int, hi: Optional[int]) -> float:
+        # f is 1 below start; from there it falls to its trough and rises
+        # for ever.  The trough counts wherever a loglog of the ends, read
+        # in floats, may lie at or past it.
+        if lo < start:
+            return 1.0
+        ends = [fn(lo)] if hi is None else [fn(lo), fn(hi)]
+        if log_tower(lo, 2)[1] <= _SQRT_TROUGH_X + 1e-6 and (
+            hi is None or log_tower(hi, 2)[1] >= _SQRT_TROUGH_X - 1e-6
+        ):
+            ends.append(max(1.0, c * math.sqrt(_SQRT_TROUGH_G)))
+        return min(ends)
+
+    return DigitBudget(fn=fn, delta0=1.0, peak=peak, least=least)
 
 
 BUDGET_FAMILIES = {
@@ -236,6 +260,57 @@ def _next_round(base, budget, lo, max_value):
         mid = (below + above) // 2
         below, above = (below, mid) if holds(mid) else (mid, above)
     return lo * base**above
+
+
+def _check_reach(base, budget, wanted, max_value):
+    """Raise _next_round's ValueError before the stream yields anything
+    when its first `wanted` members (None: all up to max_value) do not lie
+    below the first round out of reach.
+
+    Each round is counted whole, _round_members, until the count meets
+    `wanted`, until no later round can be out of reach, or until the
+    stream ends.  A round is out of reach only when none below 2**_REACH_BITS
+    may hold a member, so no max_value below that ever meets one; nor
+    does any round once the budget allows two digits everywhere after."""
+    if max_value is not None and max_value < 1 << _REACH_BITS:
+        return
+    left = math.inf if wanted is None else wanted - (base - 1)
+    lo = base
+    while left > 0 and budget.least(lo, None) < 2:
+        lo = _next_round(base, budget, lo, max_value)
+        if lo is None:
+            return
+        left -= _round_members(base, budget, lo)
+        lo *= base
+
+
+def _round_members(base, budget, lo):
+    """The number of members the sparse stream yields in the round
+    [lo, base * lo), lo = base**m, by the walk of _sparse_gen: a node whose
+    allowance has one floor over all its values, or that allows every
+    digit it holds, is counted whole; any other is opened."""
+    fn, peak, least = budget.fn, budget.peak, budget.least
+
+    def count(high, digits, m):
+        # members high + r, 1 <= r < b**m, b not dividing r
+        first, last = high + 1, high + base**m - 1
+        cap = peak(first, last)
+        if cap < digits:
+            return 0
+        # r may hold up to m nonzero digits
+        most = min(math.floor(cap) - digits + 1, m)
+        if min(math.floor(least(first, last)) - digits + 1, m) == most:
+            return sum((base - 1) ** s * math.comb(m - 1, s - 1) for s in range(1, most + 1))
+        total = sum(digits <= fn(v) for v in range(high + 1, high + base))
+        if cap >= digits + 1:
+            for p in range(1, m):
+                step = base**p
+                for h in range(high + step, high + base * step, step):
+                    total += count(h, digits + 1, p)
+        return total
+
+    m = round(math.log(lo, base))
+    return sum(count(h, 2, m) for h in range(lo, base * lo, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,23 @@ class TestEnum:
         assert not out.exists()
         assert "out of reach" in capsys.readouterr().err
 
+    def test_budget_that_runs_out_of_reach_mid_stream(self, tmp_path):
+        # sqrtll:0.3 falls below two digits past 2**26 + 1 and reaches two
+        # again only past 2**(2**20): its 157 478 members before that gap
+        # used to be written before exit 2.
+        start = time.monotonic()
+        run_rejected(tmp_path, "enum", "--base", "2", "--f", "sqrtll:0.3", "--take", "1000000")
+        assert time.monotonic() - start < 20
+        # sqrtll:0.1 has 14 091 members before its gap: all of them are
+        # written, and one more is refused before any data
+        proc = run_cli("enum", "--base", "2", "--f", "sqrtll:0.1", "--take", "14091")
+        assert len(proc.stdout.split()) == 14091
+        run_rejected(tmp_path, "enum", "--base", "2", "--f", "sqrtll:0.1", "--take", "14092")
+        run_rejected(tmp_path, "enum", "--base", "2", "--f", "sqrtll:0.1",
+                     "--max-value", "1e400000")
+        run_rejected(tmp_path, "survey", "sparse", "--base", "2", "--f", "sqrtll:0.1",
+                     "--count", "14092")
+
     @pytest.mark.parametrize("spec", ["const:inf", "const:nan", "sqrtll:nan"])
     def test_non_finite_budget_parameter_rejected(self, spec):
         # sqrtll:nan used to hang after its first value, hence the timeout
@@ -660,7 +677,12 @@ class TestSurvey:
         )
         assert [json.loads(l)["value"] for l in proc.stdout.splitlines()[1:]] == [1, 2]
 
-    def test_first_record_written_after_one_factorization(self, monkeypatch):
+    # factorize in this process sees every value with one thread, and the
+    # 15 values before the pool with two
+    @pytest.mark.parametrize("threads, factored_here", [("1", 50), ("2", 15)])
+    def test_first_record_written_after_one_factorization(
+        self, monkeypatch, threads, factored_here
+    ):
         from smoothdigits import experiments
 
         calls = []
@@ -681,10 +703,12 @@ class TestSurvey:
         out = Stdout()
         monkeypatch.setattr(experiments, "factorize", counting)
         monkeypatch.setattr(sys, "stdout", out)
-        status = main(["survey", "sparse", "--base", "10", "--k", "3", "--count", "50"])
+        status = main(["--threads", threads, "survey", "sparse", "--base", "10", "--k", "3",
+                       "--count", "50"])
         assert status == 0
         assert out.at_first_record == 1
-        assert len(calls) == 50
+        assert len(calls) == factored_here
+        assert len(out.getvalue().splitlines()) == 51
 
     def test_partial_factorization_exit_3(self):
         proc = run_cli(
@@ -864,8 +888,10 @@ def _session_processes(sid):
 @pytest.mark.parametrize(
     "survey, lines",
     [("survey sparse --base 2 --k 3 --count 3000", 2),
-     # reaches the workers at j = 32, before the reader goes
-     ("--threads 2 survey sparse --base 2 --k 2 --count 400", 50)],
+     # reaches the workers at j = 16, before the reader goes
+     ("--threads 2 survey sparse --base 2 --k 2 --count 400", 50),
+     # the workers build its records from j = 16, before the first flush
+     ("survey sparse --base 10 --k 3 --count 20000", 2)],
 )
 def test_closed_pipe_leaves_no_worker(survey, lines):
     # In a session of its own, so that a worker left behind can be found
@@ -888,20 +914,22 @@ def test_threads_default_to_the_usable_cpus():
     assert args.threads == len(os.sched_getaffinity(0))
 
 
-def test_small_values_start_no_pool():
-    # Values below 2**31 factor in this process whatever --threads says:
-    # the pool's modules are not even imported.
+@pytest.mark.parametrize("count, pooled", [(15, False), (16, True)])
+def test_short_surveys_start_no_pool(count, pooled):
+    # The batches of 1, 2, 4 and 8 values are built in this process whatever
+    # --threads says: a survey of 15 values does not even import the pool's
+    # modules, and the 16th value starts it.
     code = (
         "import sys\n"
         "from smoothdigits import cli\n"
         "status = cli.main(sys.argv[1:])\n"
         "print('concurrent.futures.process' in sys.modules, status, file=sys.stderr)\n"
     )
-    args = ["--threads", "2", "survey", "sparse", "--base", "10", "--k", "3", "--count", "2000"]
+    args = ["--threads", "2", "survey", "sparse", "--base", "10", "--k", "3", "--count", str(count)]
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, timeout=120)
-    assert proc.stderr.splitlines()[-1] == "False 0"
-    assert len(proc.stdout.splitlines()) == 2001
+    assert proc.stderr.splitlines()[-1] == f"{pooled} 0"
+    assert len(proc.stdout.splitlines()) == count + 1
 
 
 class TestMainFunction:

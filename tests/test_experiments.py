@@ -103,54 +103,64 @@ class TestSparseSurvey:
         assert len(drawn) <= 1
         records.close()
 
-    def test_workers_map_factorize_by_name(self, monkeypatch):
-        # A wrapper on the module's factorize, as perfbench/tracer.py puts
+    def test_workers_map_a_function_by_name(self, monkeypatch):
+        # Wrappers on the module's globals, as perfbench/tracer.py puts
         # there, cannot be pickled; the pool must map a function by name.
-        real = experiments.factorize
+        real_factorize, real_trace = experiments.factorize, experiments.lemma31_trace
         seen = []
 
-        def wrapped(n, budget):
+        def factorize(n, budget):
             seen.append(n)
-            return real(n, budget)
+            return real_factorize(n, budget)
+
+        def lemma31_trace(*args):
+            return real_trace(*args)
 
         seq = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3)]
-        monkeypatch.setattr(experiments, "factorize", wrapped)
+        monkeypatch.setattr(experiments, "factorize", factorize)
+        monkeypatch.setattr(experiments, "lemma31_trace", lemma31_trace)
         par = [survey_record_dict(r) for r in sparse_survey(2, 700, k=3, workers=2)]
         assert par == seq
-        # The batches up to j = 511 hold values below 2**31 and stay in this
-        # process; the last one, from j = 512, goes to the workers.
-        assert seen == [r["value"] for r in seq[:511]]
+        # The batches of 1, 2, 4 and 8 values are built in this process;
+        # every later one on the workers, whose calls this process never sees.
+        assert seen == [r["value"] for r in seq[:15]]
 
-    def test_pool_takes_only_batches_past_the_small_core(self, monkeypatch):
+    def test_pool_takes_every_batch_after_the_serial_prefix(self, monkeypatch):
         import concurrent.futures
 
-        started, maps = [], []
+        started, maps, taken = [], [], []
 
         class Pool:
             _processes = {}
+            _executor_manager_thread = mock.Mock()
 
             def __init__(self, workers):
                 started.append(workers)
 
-            def map(self, fn, values, budgets, chunksize):
-                maps.append((list(values), chunksize))
-                return map(fn, maps[-1][0], budgets)
+            def map(self, fn, js, values, budgets, survey, chunksize):
+                js = list(js)
+                # the records this survey had yielded when the batch went out
+                maps.append((js[0], len(js), chunksize, len(taken)))
+                return map(fn, js, values, budgets, survey)
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
+        seq = [survey_record_dict(r) for r in sparse_survey(10, 2000, k=3)]
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        assert list(sparse_survey(10, 2000, k=3, workers=2))[-1].value < 2**31
+        assert len(list(sparse_survey(10, 15, k=3, workers=2))) == 15
         assert started == [] and maps == []
-        seq = [survey_record_dict(r) for r in sparse_survey(2, 150, k=2)]
-        par = [survey_record_dict(r) for r in sparse_survey(2, 150, k=2, workers=2)]
-        assert par == seq
-        # 2**m + 1 first reaches 2**31 at j = 32: the batches from j = 32,
-        # 64 and 128, in chunks of a quarter of each worker's share
+        for rec in sparse_survey(10, 2000, k=3, workers=2):
+            taken.append(survey_record_dict(rec))
+        assert taken == seq
+        # From j = 16 every batch is mapped, in chunks of half of each
+        # worker's share.  A batch goes out before the records of the one
+        # before it are yielded: one batch in flight.
         assert started == [2]
-        assert [(values[0], len(values), chunk) for values, chunk in maps] == [
-            (2**31 + 1, 32, 4), (2**63 + 1, 64, 8), (2**127 + 1, 23, 2),
-        ]
+        starts = [16, 32, 64, 128] + [256 * i for i in range(1, 8)]
+        sizes = [16, 32, 64, 128] + [256] * 6 + [2000 - 1791]
+        yielded = [15, 15] + [j - 1 for j in starts[1:-1]]
+        assert maps == list(zip(starts, sizes, [size // 4 for size in sizes], yielded))
 
     def test_early_close_stops_the_workers(self):
         import multiprocessing
@@ -166,6 +176,29 @@ class TestSparseSurvey:
         # like 2**137 + 1 among them, took over a second.
         assert time.perf_counter() - start < 0.5
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("base", [10, 2])
+    @pytest.mark.parametrize(
+        "spec, count, factor_budget",
+        [("const:3", 300, 5000), ("loglog:0.5", 300, 5000),
+         # 2**m + 1 from m = 332 on has a thm13 threshold; budget 1 keeps it quick
+         ("const:2", 400, 1)],
+    )
+    def test_workers_match_sequential_on_a_digit_budget(self, base, spec, count, factor_budget):
+        # The budget's closures do not pickle: its value at each record is
+        # read in this process and sent with delta0.
+        from smoothdigits.sequences import parse_budget_spec
+
+        budget = parse_budget_spec(spec)
+        seq, par = (
+            [survey_record_dict(r) for r in sparse_survey(
+                base, count, budget_fn=budget, factor_budget=factor_budget, workers=workers)]
+            for workers in (1, 2)
+        )
+        assert par == seq
+        assert all("thm13" in rec and "thm13_exceeded" in rec for rec in seq)
+        if spec == "const:2" and base == 2:
+            assert any(rec["thm13"] is not None for rec in seq)
 
     @pytest.mark.parametrize(
         "count,kwargs",

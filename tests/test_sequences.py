@@ -234,6 +234,20 @@ class TestBudgetFamilies:
             assert f.peak(lo, hi) >= max(sampled, f(hi))
         assert f.peak(10**9, None) >= f(10**30)
 
+    @pytest.mark.parametrize(
+        "spec", ["const:3", "loglog:1", "sqrtll:0.3", "sqrtll:0.5", "sqrtll:2"]
+    )
+    def test_least_bounds_the_budget(self, spec):
+        f = parse_budget_spec(spec)
+        for lo, hi in [(1, 100), (3 * 10**6, 4 * 10**6), (3814281, 3814300),
+                       (2**21, 2**22 - 1), (2**22, 2**23 - 1), (10**9, 10**12),
+                       (2**120, 2**135)]:
+            step = max(1, (hi - lo) // 5000)
+            sampled = min(f(n) for n in range(lo, hi + 1, step))
+            assert f.least(lo, hi) <= min(sampled, f(hi))
+        # sqrtll rises again past its trough near 2**127
+        assert f.least(10**9, None) <= min(f(n) for n in (10**9, 2**127, 2**128, 10**60))
+
 
 class TestRoundJump:
     @pytest.mark.parametrize("start", [10, 40])
@@ -263,6 +277,43 @@ class TestRoundJump:
         assert list(sparse_sequence_f(10, sqrt_budget(1e-6), max_value=10**50)) == list(range(1, 10))
         with pytest.raises(ValueError, match="out of reach"):
             list(sparse_sequence_f(10, sqrt_budget(1e-6)))
+
+    @pytest.mark.parametrize(
+        "spec, base",
+        [(spec, base) for spec in ("const:3", "loglog:1") for base in (2, 3, 10)]
+        + [(spec, base) for spec in ("sqrtll:0.1", "sqrtll:0.3", "sqrtll:0.5")
+           for base in (2, 3)],
+    )
+    def test_round_members_counts_the_stream(self, spec, base):
+        # every round below 2**23, counted whole against the stream's own;
+        # sqrtll's first round holds its spike at 3814280
+        f = parse_budget_spec(spec)
+        limit = 2**23
+        lo = sequences._next_round(base, f, base, limit)
+        rounds = 0
+        while lo is not None and lo * base <= limit:
+            stream = sparse_sequence_f(base, f, max_value=base * lo - 1)
+            assert sequences._round_members(base, f, lo) == sum(1 for v in stream if v >= lo)
+            lo = sequences._next_round(base, f, base * lo, limit)
+            rounds += 1
+        assert rounds
+
+    @pytest.mark.parametrize("spec, base", [("sqrtll:0.1", 2), ("sqrtll:0.2", 3)])
+    def test_reach_check_meets_the_gap(self, spec, base):
+        # The stream's members before it runs out of reach are exactly what
+        # the check lets through: one more is refused before any is drawn.
+        f = parse_budget_spec(spec)
+        stream = sparse_sequence_f(base, f)
+        members = 0
+        with pytest.raises(ValueError, match="out of reach"):
+            for _ in stream:
+                members += 1
+        sequences._check_reach(base, f, members, None)
+        with pytest.raises(ValueError, match="out of reach"):
+            sequences._check_reach(base, f, members + 1, None)
+        with pytest.raises(ValueError, match="out of reach"):
+            sequences._check_reach(base, f, None, 2 ** (2**20 + 1))
+        sequences._check_reach(base, f, None, 2 ** (2**20 - 1))
 
 
 class TestPowerSum:
