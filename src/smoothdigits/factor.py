@@ -9,10 +9,14 @@ cyclotomic parts Phi_e(x), and 2**(4k+2) + 1 further into its two
 Aurifeuillian factors; each part then takes the same steps as any other
 input, except that rho splits a part Phi_e(x) with the map y -> y**k + c,
 k = lcm(2, e), which its prime factors make faster (see `_rho_power`).
-Primality testing is exact below 2**16 (a table lookup) and Miller-Rabin
-above: deterministic below 3.3e24 (the first 13 primes as bases at most),
-and with a fixed 25-prime basis above that, so results
-are reproducible run to run.  Splitting effort is bounded by an explicit
+Primality testing is exact below 2**16 (a table lookup), deterministic
+Miller-Rabin below 3.3e24 (the first 13 primes as bases at most), and BPSW
+above that: strong base-2 Miller-Rabin and a strong Lucas test (Baillie and
+Wagstaff 1980).  No BPSW pseudoprime is known, and none exists below 2**64;
+that none exists at all is the one assumption left.  Each n >= 2**16 is
+tested once while it stays in a bounded cache, so a cofactor that
+factorize() reports prime is not tested again when its Factorization
+re-certifies it.  Splitting effort is bounded by an explicit
 budget shared by all parts and all methods, counted in modular
 multiplications and squarings; a pow(y, e, n) counts as binary
 square-and-multiply would.  When it runs out the unsplit composites are
@@ -21,7 +25,7 @@ reported honestly as a cofactor instead of being guessed at.
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from fractions import Fraction
 from itertools import count, takewhile
 from typing import Optional
@@ -85,9 +89,6 @@ _MR_TIERS = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-# Above the last deterministic tier: fixed 25-prime basis (error probability
-# below 4**-25 per composite; fixed so that runs stay deterministic).
-_MR_FALLBACK_BASES = tuple(primes_up_to(100))
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -116,17 +117,74 @@ def _miller_rabin(n: int, bases) -> bool:
 _TRIAL_PRODUCT = math.prod(_SMALL_PRIMES[:12])
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 2 with Selfridge's
+    method A: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2**s, d odd, n passes when U_d = 0 or
+    V_(d 2**r) = 0 (mod n) for some r < s.  A square n has no such D, so
+    it fails first."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (symbol := _jacobi(d, n)) != -1:
+        if symbol == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q**1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # index + 1: U = (P U + V)/2, V = (D U + P V)/2
+            u, v = u + v, d * u + v
+            u, v = (u + n if u & 1 else u) // 2 % n, (v + n if v & 1 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
     """Exact below 2**16, where it reads the smallest-prime-factor table,
-    and deterministic below 3.3e24 (see _MR_TIERS)."""
+    deterministic below 3.3e24 (see _MR_TIERS) and BPSW above."""
     if n < _fastfactor.SMALL_LIMIT:
         return n >= 2 and _fastfactor.SMALL_SPF[n] == n
+    return _is_prime_above_table(n)
+
+
+@lru_cache(maxsize=4096)
+def _is_prime_above_table(n: int) -> bool:
+    """is_prime for n >= 2**16, cached: factorize() tests each cofactor and
+    Factorization then re-certifies the primes, one test between them."""
     if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
     for limit, bases in _MR_TIERS:
         if n < limit:
             return _miller_rabin(n, bases)
-    return _miller_rabin(n, _MR_FALLBACK_BASES)
+    return _miller_rabin(n, (2,)) and _strong_lucas(n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,57 +460,109 @@ def _brent_rho(n: int, max_iter: int, power: int = 2, c: int = 1):
         # cycle collapsed; retry with the next polynomial increment
 
 
-def _stage2_primes(b1: int, b2: int) -> list[int]:
-    """The primes q with b1 < q <= b2 < 2**16, read off the import-time table."""
-    return [q for q in range(b1 + 1, b2 + 1) if _fastfactor.SMALL_SPF[q] == q]
+def _proper(g: int, n: int):
+    """g when it is a proper factor of n, else None."""
+    return g if 1 < g < n else None
+
+
+def _inverse(y: int, n: int):
+    """pow(y, -1, n), or None when y shares a factor with n."""
+    try:
+        return pow(y, -1, n)
+    except ValueError:
+        return None
+
+
+def _inverse_cost(n: int) -> int:
+    """The charge for pow(y, -1, n): n.bit_length() units.  CPython's
+    extended Euclid takes the time of 7 to 45 products from 32 to 4096 bits
+    (notes/decisions.md), so the charge never falls below it."""
+    return n.bit_length()
+
+
+# Both stage 2s cover the primes q in (B1, B2] by baby-step giant-step
+# (Montgomery 1987): q = g D +- j with j < D/2 prime to D, so that one
+# product per pair (g, j) covers both g D + j and g D - j.
+_D = 210
+
+
+@cache
+def _stage2_plan(b1: int, b2: int) -> list[tuple[int, tuple[int, ...]]]:
+    """[(g, (j, ...)), ...]: each giant step g, ascending, with the baby
+    steps j for which g D + j or g D - j is a prime in (b1, b2].  b2 < 2**16,
+    so the primes come off the import-time table."""
+    pairs: dict[int, set[int]] = {}
+    for q in range(b1 + 1, b2 + 1):
+        if _fastfactor.SMALL_SPF[q] == q:
+            g = (q + _D // 2) // _D
+            pairs.setdefault(g, set()).add(abs(q - g * _D))
+    return [(g, tuple(sorted(js))) for g, js in sorted(pairs.items())]
 
 
 # Pollard p - 1: base 3 (2 has order exactly e modulo each prime of a part
 # Phi_e(2) not dividing e, so base 2 meets every prime of 2**m +- 1 at
-# once), stage 1 to B1, stage 2 over the primes up to B2 by prime gaps.
+# once), stage 1 to B1, stage 2 to B2.
 _PM1_BASE, _PM1_B1, _PM1_B2 = 3, 1000, 20000
 
 
 @cache
 def _pm1_plan():
-    """(E, first prime of stage 2, gaps between its primes, cost of stage 1,
-    of stage 2)."""
+    """(E, stage-2 plan, cost of stage 1, of stage 2 without its inversion)."""
     e = math.lcm(*range(1, _PM1_B1 + 1))
-    primes = _stage2_primes(_PM1_B1, _PM1_B2)
-    gaps = [b - a for a, b in zip(primes, primes[1:])]
-    # b**q0, b**2 and b**4 ... b**max(gaps), then per later prime one step
-    # and one product into the accumulator
-    stage2 = _pow_cost(primes[0]) + max(gaps) // 2 + 2 * len(gaps)
-    return e, primes[0], gaps, _pow_cost(e), stage2
+    giants = _stage2_plan(_PM1_B1, _PM1_B2)
+    # V_2, V_3 ... V_(D/2) over odd indices, V_D, then W_2 ... W_g up to
+    # the last giant step, and one product per pair
+    stage2 = 2 + _D // 4 + giants[-1][0] - 1 + sum(len(js) for _, js in giants)
+    return e, giants, _pow_cost(e), stage2
+
+
+def _pm1_cost(n: int) -> int:
+    """Units of a whole pass of p - 1 on n."""
+    _, _, stage1, stage2 = _pm1_plan()
+    return stage1 + stage2 + _inverse_cost(n)
 
 
 def _pm1(n: int, max_iter: int):
     """Pollard p - 1; returns (factor or None, used).  Runs only when
-    `max_iter` covers both stages."""
-    e, q0, gaps, stage1, stage2 = _pm1_plan()
-    if max_iter < stage1 + stage2:
+    `max_iter` covers both stages.
+
+    Stage 2 is Montgomery's (1987): from b after stage 1 and its inverse,
+    the babies V_j = b**j + b**-j and the giants W_g = V_(gD) each take one
+    product, V_(i+k) = V_i V_k - V_(i-k), and W_g - V_j =
+    b**-(gD) (b**(gD-j) - 1) (b**(gD+j) - 1) goes into the accumulator.
+    """
+    e, giants, stage1, stage2 = _pm1_plan()
+    inverse = _inverse_cost(n)
+    if max_iter < stage1 + stage2 + inverse:
         return None, 0
     b = pow(_PM1_BASE, e, n)
     g = math.gcd(b - 1, n)
     if g != 1:
-        return (g if g != n else None), stage1
-    steps = {2: b * b % n}
-    for d in range(4, max(gaps) + 1, 2):
-        steps[d] = steps[d - 2] * steps[2] % n
-    t = pow(b, q0, n)
-    acc = t - 1
-    for gap in gaps:
-        t = t * steps[gap] % n
-        acc = acc * (t - 1) % n
-    g = math.gcd(acc, n)
-    return (g if 1 < g < n else None), stage1 + stage2
+        return _proper(g, n), stage1
+    b_inv = _inverse(b, n)
+    if b_inv is None:  # 3 divides n
+        return _proper(math.gcd(b, n), n), stage1 + inverse
+    v1 = b + b_inv
+    v2 = (v1 * v1 - 2) % n
+    v = [v1, (v1 * v2 - v1) % n]  # v[i] = V_(2i + 1); V_-1 = V_1
+    for _ in range(_D // 4 - 1):
+        v.append((v[-1] * v2 - v[-2]) % n)
+    w1 = (v[-1] * v[-1] - 2) % n  # V_D = V_(D/2)**2 - 2
+    w_prev, w, at = 2, w1, 1  # W_0, W_1
+    acc = 1
+    for g, js in giants:
+        while at < g:
+            w_prev, w, at = w, (w * w1 - w_prev) % n, at + 1
+        for j in js:
+            acc = acc * (w - v[j // 2]) % n
+    return _proper(math.gcd(acc, n), n), stage1 + stage2 + inverse
 
 
 # ECM (Lenstra 1987) on Montgomery curves B y**2 = x**3 + A x**2 + x in
 # x-only projective coordinates (Montgomery 1987), with Suyama's
-# parametrization from sigma = 6, 7, ..., stage 2 by baby steps j Q
-# (j < D/2, gcd(j, D) = 1) and giant steps g D Q, D = 210.
-_ECM_B1, _ECM_B2, _ECM_D = 400, 20000, 210
+# parametrization from sigma = 6, 7, ..., stage 1 by Montgomery's ladder,
+# and stage 2 with every point brought to z = 1 first.
+_ECM_B1, _ECM_B2 = 400, 20000
 
 
 def _xdbl(x, z, n, num, den):
@@ -474,76 +584,103 @@ def _xadd(x1, z1, x2, z2, xd, zd, n):
 
 @cache
 def _ecm_plan():
-    """(E, [(g, [j, ...]), ...], cost of stage 1, of stage 2): the stage-2
-    primes q = g D +- j grouped by giant step g."""
+    """(bits of E after the first, stage-2 plan, its baby steps, cost of
+    stage 1, cost of stage 2 up to its inversion, after it)."""
     e = math.lcm(*range(1, _ECM_B1 + 1))
-    half = _ECM_D // 2
-    pairs: dict[int, set[int]] = {}
-    for q in _stage2_primes(_ECM_B1, _ECM_B2):
-        g = (q + half) // _ECM_D
-        pairs.setdefault(g, set()).add(abs(q - g * _ECM_D))
-    giants = [(g, sorted(js)) for g, js in sorted(pairs.items())]
-    # 2Q, Q + 2Q ... 103Q + 2Q, x*z of each baby, D Q = 2 (105 Q), 2 D Q,
-    # then one addition per further giant step, and per giant step used its
-    # x*z and two multiplications per j
-    babies = len([j for j in range(1, half, 2) if math.gcd(j, _ECM_D) == 1])
-    stage2 = 4 + 6 * (half // 2) + babies + 4 + 4 + 6 * (giants[-1][0] - 2)
-    stage2 += sum(1 + 2 * len(js) for _, js in giants)
-    return e, giants, 4 + 8 * (e.bit_length() - 1), stage2
+    giants = _stage2_plan(_ECM_B1, _ECM_B2)
+    babies = sorted({j for _, js in giants for j in js})
+    points = len(babies) + len(giants)
+    # 2Q, Q + 2Q ... (D/2 - 2)Q + 2Q, D Q = 2 (D/2)Q, 2 D Q, one addition
+    # per further giant step and the running product of the z; after the
+    # inversion 3 products a point and one a pair
+    head = 4 + 6 * (_D // 4) + 4 + 4 + 6 * (giants[-1][0] - 2) + points
+    tail = 3 * points + sum(len(js) for _, js in giants)
+    return bin(e)[3:], giants, babies, 4 + 8 * (e.bit_length() - 1), head, tail
+
+
+def _ladder(n, bits, xp, zp, num, den):
+    """E P by Montgomery's ladder, for a small P = (xp : zp) and the bits
+    of E after the first; R1 - R0 = P throughout.  Each bit takes the sums
+    and differences of both points once, for the addition and the
+    doubling: 8 units."""
+    x0, z0 = xp, zp
+    x1, z1 = _xdbl(xp, zp, n, num, den)
+    for bit in bits:
+        s0, d0, s1, d1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u = d0 * s1 % n
+        v = s0 * d1 % n
+        a, b = u + v, u - v
+        xa, za = a * a * zp % n, b * b * xp % n  # R0 + R1 in 4 units, as P is small
+        if bit == "1":  # R0 + R1, 2 R1
+            s, d = s1 * s1 % n, d1 * d1 % n
+            t, dd = s - d, den * d
+            x0, z0, x1, z1 = xa, za, s * dd % n, t * (dd + num * t) % n
+        else:  # 2 R0, R0 + R1
+            s, d = s0 * s0 % n, d0 * d0 % n
+            t, dd = s - d, den * d
+            x0, z0, x1, z1 = s * dd % n, t * (dd + num * t) % n, xa, za
+    return x0, z0
 
 
 def _ecm(n: int, max_iter: int):
     """ECM, one curve after another while `max_iter` covers a whole curve;
     returns (factor or None, used)."""
-    e, giants, stage1, stage2 = _ecm_plan()
+    bits, _, _, stage1, head, tail = _ecm_plan()
+    curve = stage1 + head + _inverse_cost(n) + tail
     used = 0
     for sigma in count(6):
-        if max_iter - used < stage1 + stage2:
+        if max_iter - used < curve:
             return None, used
         u, v = sigma * sigma - 5, 4 * sigma
         xp, zp = u**3, v**3  # P, small integers
         num, den = (v - u) ** 3 * (3 * u + v), 16 * u**3 * v
-        x0, z0 = xp, zp
-        x1, z1 = _xdbl(xp, zp, n, num, den)
-        for bit in bin(e)[3:]:  # Montgomery's ladder; R1 - R0 = P throughout
-            a = (x0 - z0) * (x1 + z1) % n
-            b = (x0 + z0) * (x1 - z1) % n
-            added = (a + b) ** 2 * zp % n, (a - b) ** 2 * xp % n  # 4, as P is small
-            if bit == "1":
-                (x0, z0), (x1, z1) = added, _xdbl(x1, z1, n, num, den)
-            else:
-                (x0, z0), (x1, z1) = _xdbl(x0, z0, n, num, den), added
+        x, z = _ladder(n, bits, xp, zp, num, den)
         used += stage1
-        g = math.gcd(z0, n)
+        g = math.gcd(z, n)
         if g == 1:
-            g = _ecm_stage2(n, x0, z0, num, den, giants)
-            used += stage2
+            g, spent = _ecm_stage2(n, x, z, num, den)
+            used += spent
         if 1 < g < n:
             return g, used
 
 
-def _ecm_stage2(n, x, z, num, den, giants):
-    """gcd(n, prod of x(g D Q) z(j Q) - x(j Q) z(g D Q)) over the planned
-    (g, j), for Q = (x : z) after stage 1."""
-    half = _ECM_D // 2
+def _ecm_stage2(n, x, z, num, den):
+    """(gcd, used) for Q = (x : z) after stage 1: the gcd of n with the
+    product of x_g - x_j over the planned (g, j), where x_j and x_g are the
+    x of j Q and g D Q at z = 1.  Every z is then a unit, so this is the gcd
+    of the product of x(g D Q) z(j Q) - x(j Q) z(g D Q).  The points reach
+    z = 1 by Montgomery's simultaneous inversion: the running product of
+    their z, one inverse, then back.  When that product has no inverse its
+    gcd with n is returned: a z that shares a factor with n is a split."""
+    _, giants, babies, _, head, tail = _ecm_plan()
+    half = _D // 2
     odd = {1: (x, z)}  # j Q for odd j <= D/2
     x2, z2 = _xdbl(x, z, n, num, den)
     for j in range(3, half + 1, 2):
         odd[j] = _xadd(*odd[j - 2], x2, z2, *odd[abs(j - 4)], n)
-    babies = {j: (xj, zj, xj * zj % n) for j, (xj, zj) in odd.items()
-              if j < half and math.gcd(j, _ECM_D) == 1}
     dq = _xdbl(*odd[half], n, num, den)
     giant = [None, dq, _xdbl(*dq, n, num, den)]  # giant[g] = g D Q
+    while len(giant) <= giants[-1][0]:
+        giant.append(_xadd(*giant[-1], *dq, *giant[-2], n))
+    points = [odd[j] for j in babies] + [giant[g] for g, _ in giants]
+    prefix = [1]
+    for _, zi in points:
+        prefix.append(prefix[-1] * zi % n)
+    used = head + _inverse_cost(n)
+    inv = _inverse(prefix[-1], n)
+    if inv is None:
+        return math.gcd(prefix[-1], n), used
+    affine = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xi, zi = points[i]
+        affine[i] = xi * prefix[i] % n * inv % n
+        inv = inv * zi % n
+    x_of = dict(zip(babies, affine))
     acc = 1
-    for g, js in giants:
-        while len(giant) <= g:
-            giant.append(_xadd(*giant[-1], *dq, *giant[-2], n))
-        xg, zg = giant[g]
-        xz = xg * zg % n
+    for (_, js), xg in zip(giants, affine[len(babies):]):
         for j in js:
-            xj, zj, xzj = babies[j]
-            acc = acc * ((xg - xj) * (zg + zj) % n - xz + xzj) % n
-    return math.gcd(acc, n)
+            acc = acc * (xg - x_of[j]) % n
+    return math.gcd(acc, n), used + tail
 
 
 # Rho gets this many units on each cofactor first, before p - 1 and ECM:
@@ -558,7 +695,7 @@ def _split(m: int, budget: int, power: int):
     with the next increment, c = 2, so it does not retrace the first one's
     path, and where p - 1 cannot follow the share, rho takes the whole
     budget at once."""
-    if budget < _RHO_SHARE + sum(_pm1_plan()[3:]):
+    if budget < _RHO_SHARE + _pm1_cost(m):
         return _brent_rho(m, budget, power)
     d, used = _brent_rho(m, _RHO_SHARE, power)
     for method in (_pm1, _ecm):

@@ -186,6 +186,19 @@ class TestFactor:
         assert rec["complete"] is False
         assert rec["P"] is None
 
+    def test_arnault_composite_is_partial(self):
+        # a 1318-bit strong pseudoprime to every prime base below 307
+        # (Arnault 1995), once reported complete as its own only prime
+        p1 = int(
+            "29674495668685510550154174642905332730771991799853043350995075531276"
+            "838753171770199594238596428121188033664754218345562493168782883"
+        )
+        n = p1 * (313 * (p1 - 1) + 1) * (353 * (p1 - 1) + 1)
+        proc = run_cli("--budget", "10", "factor", str(n), expect=3)
+        rec = json.loads(proc.stdout.splitlines()[1])
+        assert rec["complete"] is False
+        assert rec["factors"] == [] and rec["cofactor"] == str(n)
+
     def test_csv(self):
         proc = run_cli("factor", "720", "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))

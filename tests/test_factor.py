@@ -2,7 +2,10 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from smoothdigits.factor import (
     s_part,
     smallest_prime_factor,
 )
+from smoothdigits.sequences import sparse_sequence
 
 
 def oracle_pairs(n):
@@ -95,6 +99,101 @@ class TestPrimality:
         assert not sympy.isprime(n)
         assert factor._miller_rabin(n, (2,))  # the base-2 test alone is fooled
         assert not is_prime(n)
+
+
+# Arnault (1995): a strong pseudoprime to every prime base below 307, so
+# to every fixed base set of Miller-Rabin used here; 1318 bits.
+ARNAULT_P1 = int(
+    "29674495668685510550154174642905332730771991799853043350995075531276"
+    "838753171770199594238596428121188033664754218345562493168782883"
+)
+ARNAULT_N = ARNAULT_P1 * (313 * (ARNAULT_P1 - 1) + 1) * (353 * (ARNAULT_P1 - 1) + 1)
+
+
+def _beyond_the_tiers():
+    """Integers on both sides of the last deterministic tier up to about
+    2**400: odd numbers, primes and products of two primes."""
+    sympy = pytest.importorskip("sympy")
+    limit = factor._MR_TIERS[-1][0]
+    near = st.integers(min_value=-(10**6), max_value=10**6).map(lambda d: limit + d)
+    wide = st.integers(min_value=2**64, max_value=2**400)
+    odd = (near | wide).map(lambda n: n | 1)
+    prime = st.integers(min_value=2**17, max_value=2**200).map(sympy.nextprime)
+    return odd | prime | st.tuples(prime, prime).map(math.prod)
+
+
+class TestBPSW:
+    """Above the last Miller-Rabin tier is_prime is BPSW: strong base-2
+    Miller-Rabin and a strong Lucas test with Selfridge's parameters."""
+
+    def test_arnault_composite(self):
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(ARNAULT_P1) and ARNAULT_N.bit_length() == 1318
+        # every prime base below 100, and base 2 alone, are fooled
+        assert factor._miller_rabin(ARNAULT_N, primes_up_to(100))
+        assert not factor._strong_lucas(ARNAULT_N)
+        assert not is_prime(ARNAULT_N)
+
+    def test_arnault_composite_is_not_reported_prime(self):
+        fact = factorize(ARNAULT_N)
+        assert fact.reconstruct() == ARNAULT_N
+        assert ARNAULT_N not in fact.prime_factors
+        assert not fact.complete or len(fact.pairs) > 1
+
+    # the strong Lucas pseudoprimes below 20000 (OEIS A217255) pass the
+    # Lucas half alone and fail the base-2 half; the base-2 strong
+    # pseudoprimes fail the Lucas half
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_lucas_pseudoprimes(self, n):
+        assert factor._strong_lucas(n)
+        assert not factor._miller_rabin(n, (2,))
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 3_215_031_751, 3_825_123_056_546_413_051])
+    def test_base_2_pseudoprimes_fail_lucas(self, n):
+        assert factor._miller_rabin(n, (2,))
+        assert not factor._strong_lucas(n)
+
+    def test_lucas_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        for n in range(3, 30001, 2):
+            assert factor._strong_lucas(n) == is_strong_lucas_prp(n), n
+        assert not factor._strong_lucas(1_000_003**2)  # a square has no D
+
+    @settings(max_examples=300, deadline=None)
+    @given(_beyond_the_tiers())
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+
+
+class TestCertifiedOnce:
+    """Each integer >= 2**16 goes through Miller-Rabin (or BPSW) once while
+    it stays in the cache, wherever is_prime is called from."""
+
+    def test_each_integer_is_tested_once(self, monkeypatch):
+        calls = Counter()
+        miller_rabin = factor._miller_rabin
+
+        def spy(n, bases):
+            calls[n] += 1
+            return miller_rabin(n, bases)
+
+        monkeypatch.setattr(factor, "_miller_rabin", spy)
+        factor._is_prime_above_table.cache_clear()
+        for value in islice(sparse_sequence(2, 3), 700):
+            factorize(value)
+        assert calls and max(calls.values()) == 1
+
+    def test_a_cached_composite_is_still_refused(self):
+        c = 3_215_031_751  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not is_prime(c)
+        assert not is_prime(c)
+        with pytest.raises(ValueError):
+            Factorization(c, ((c, 1),))
+        with pytest.raises(ValueError):
+            PrimeSet((c,))
 
 
 class TestFactorize:
@@ -199,6 +298,87 @@ def _semiprimes():
     return st.tuples(prime, prime).filter(lambda pq: pq[0] != pq[1])
 
 
+# The stage 2s and the ladder that the baby-step giant-step stage 2s and
+# the shared-sum ladder replaced, kept as references.
+
+
+def _suyama(sigma):
+    """P = (x : z) and (num, den), (A + 2)/4 = num/den, of the curve of sigma."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    return u**3, v**3, (v - u) ** 3 * (3 * u + v), 16 * u**3 * v
+
+
+def _reference_ladder(n, bits, xp, zp, num, den):
+    x0, z0 = xp, zp
+    x1, z1 = factor._xdbl(xp, zp, n, num, den)
+    for bit in bits:
+        a = (x0 - z0) * (x1 + z1) % n
+        b = (x0 + z0) * (x1 - z1) % n
+        added = (a + b) ** 2 * zp % n, (a - b) ** 2 * xp % n
+        if bit == "1":
+            (x0, z0), (x1, z1) = added, factor._xdbl(x1, z1, n, num, den)
+        else:
+            (x0, z0), (x1, z1) = factor._xdbl(x0, z0, n, num, den), added
+    return x0, z0
+
+
+def _reference_pm1(n):
+    """p - 1 with stage 2 by prime gaps: b**q for each prime q in (B1, B2],
+    each from the one before."""
+    b = pow(factor._PM1_BASE, math.lcm(*range(1, factor._PM1_B1 + 1)), n)
+    g = math.gcd(b - 1, n)
+    if g == 1:
+        primes = [q for q in primes_up_to(factor._PM1_B2) if q > factor._PM1_B1]
+        t = pow(b, primes[0], n)
+        acc = t - 1
+        for a, q in zip(primes, primes[1:]):
+            t = t * pow(b, q - a, n) % n
+            acc = acc * (t - 1) % n
+        g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _reference_ecm_stage2(n, x, z, num, den):
+    """gcd(n, prod of x(g D Q) z(j Q) - x(j Q) z(g D Q)) over the pairs
+    (g, j) with q = g D +- j, j <= D/2, for the primes q in (B1, B2]."""
+
+    @cache
+    def multiple(k):
+        r0, r1 = (x, z), factor._xdbl(x, z, n, num, den)
+        for bit in bin(k)[3:]:
+            added = factor._xadd(*r1, *r0, x, z, n)
+            if bit == "1":
+                r0, r1 = added, factor._xdbl(*r1, n, num, den)
+            else:
+                r0, r1 = factor._xdbl(*r0, n, num, den), added
+        return r0
+
+    d = 210
+    pairs = set()
+    for q in primes_up_to(factor._ECM_B2):
+        if q > factor._ECM_B1:
+            g = (q + d // 2) // d
+            pairs.add((g, abs(q - g * d)))
+    acc = 1
+    for g, j in pairs:
+        (xg, zg), (xj, zj) = multiple(g * d), multiple(j)
+        acc = acc * (xg * zj - xj * zg) % n
+    return math.gcd(acc, n)
+
+
+def _semiprimes_of_every_size():
+    """Like _semiprimes, but with the bit length of each prime uniform, so
+    that the smaller primes, which p - 1 and one curve split far more often,
+    come up as often as the larger ones."""
+    sympy = pytest.importorskip("sympy")
+    prime = (
+        st.integers(min_value=20, max_value=40)
+        .flatmap(lambda b: st.integers(min_value=2 ** (b - 1), max_value=2**b - 1))
+        .map(sympy.prevprime)
+    )
+    return st.tuples(prime, prime).filter(lambda pq: pq[0] != pq[1])
+
+
 class TestSplittingMethods:
     """Pollard p - 1 and ECM after a share of rho, all on one budget counted
     in modular multiplications; sympy is the independent oracle."""
@@ -212,10 +392,14 @@ class TestSplittingMethods:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Counts every reduction mod a `_CountingModulus` and charges each
-        pow(y, e, n) the multiplications of its square-and-multiply."""
+        pow(y, e, n) the multiplications of its square-and-multiply, and an
+        inverse pow(y, -1, n) n.bit_length() units."""
 
         def pow_spy(y, e, n):
-            _CountingModulus.reductions += e.bit_length() + e.bit_count() - 2
+            if e == -1:
+                _CountingModulus.reductions += int(n).bit_length()
+            else:
+                _CountingModulus.reductions += e.bit_length() + e.bit_count() - 2
             return pow(y, e, int(n))
 
         monkeypatch.setattr(factor, "pow", pow_spy, raising=False)
@@ -271,6 +455,52 @@ class TestSplittingMethods:
         assert fact.reconstruct() == n
         if fact.complete:
             assert list(fact.pairs) == sorted(sympy.factorint(n).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(pq=_semiprimes_of_every_size())
+    def test_pm1_finds_what_prime_gaps_find(self, pq):
+        # the pairs cover gD + j and gD - j whether prime or not: more, never fewer
+        n = pq[0] * pq[1]
+        d, _ = _pm1(n, DEFAULT_BUDGET)
+        if _reference_pm1(n) is not None:
+            assert d in pq
+
+    @settings(max_examples=25, deadline=None)
+    @given(pq=_semiprimes_of_every_size(), sigma=st.integers(min_value=6, max_value=10**4))
+    def test_ecm_stage2_finds_what_cross_products_find(self, pq, sigma):
+        n = pq[0] * pq[1]
+        xp, zp, num, den = _suyama(sigma)
+        x, z = factor._ladder(n, factor._ecm_plan()[0], xp, zp, num, den)
+        if math.gcd(z, n) == 1:
+            g, _ = factor._ecm_stage2(n, x, z, num, den)
+            if 1 < _reference_ecm_stage2(n, x, z, num, den) < n:
+                assert g in pq
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=2**31, max_value=2**200).map(lambda n: n | 1),
+        sigma=st.integers(min_value=6, max_value=10**6),
+    )
+    def test_ladder_gives_the_old_points(self, n, sigma):
+        bits = factor._ecm_plan()[0]
+        assert factor._ladder(n, bits, *_suyama(sigma)) == _reference_ladder(
+            n, bits, *_suyama(sigma)
+        )
+
+    def test_a_z_that_shares_a_factor_is_a_split(self, counted):
+        # x = 0 is the point of order 2 modulo p, so every giant step g D Q
+        # has z = 0 there and the running product of the z has no inverse
+        p, q = 1000003, 2**61 - 1
+        _, _, num, den = _suyama(6)
+        g, used = factor._ecm_stage2(counted(p * q), 12345 * p, 1, num, den)
+        assert g == p
+        assert used == counted.reductions
+
+    def test_pm1_when_3_divides_n(self, counted):
+        # b = 3**E has no inverse modulo 3 (2**89 - 2 has a 32-bit prime)
+        d, used = _pm1(counted(3 * (2**89 - 1)), DEFAULT_BUDGET)
+        assert d == 3
+        assert used == counted.reductions
 
     def test_the_methods_find_their_factors(self):
         # 2**31 - 2 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331 is 1000-smooth
